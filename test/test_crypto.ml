@@ -217,6 +217,105 @@ let test_paillier_key_too_small () =
     (Paillier.Key_too_small { key_bits = 1; plain_bits = 2 }
     = Rsa.Key_too_small { key_bits = 1; plain_bits = 2 })
 
+(* --- golden pins ---------------------------------------------------------- *)
+
+(* Key generation, encryption and decryption must stay bit-identical
+   across changes to the bignum kernel: every value below was recorded
+   once and is pinned here.  For each (cryptosystem, seed, bits) the
+   pin is the modulus n, one ciphertext of a fixed plaintext drawn
+   through the production encryptor, and the next RNG draw after key
+   generation (which fixes how many draws keygen consumed). *)
+
+type golden = { n_hex : string; c_hex : string; next_draw : int64 }
+
+let golden_plaintext = Nat.of_int 424_242
+
+let paillier_golden ~seed ~bits =
+  let s = State.create ~seed () in
+  let kp = Paillier.generate s ~bits in
+  let next_draw = State.next_int64 (State.copy s) in
+  let c = Paillier.encryptor s kp.Paillier.public golden_plaintext in
+  Alcotest.check nat "pinned ciphertext decrypts" golden_plaintext
+    (Paillier.decrypt kp.Paillier.secret c);
+  { n_hex = Nat.to_hex kp.Paillier.public.Paillier.n; c_hex = Nat.to_hex c; next_draw }
+
+let rsa_golden ~seed ~bits =
+  let s = State.create ~seed () in
+  let kp = Rsa.generate s ~bits in
+  let next_draw = State.next_int64 (State.copy s) in
+  let c = Rsa.encrypt kp.Rsa.public golden_plaintext in
+  Alcotest.check nat "pinned ciphertext decrypts" golden_plaintext
+    (Rsa.decrypt kp.Rsa.secret c);
+  { n_hex = Nat.to_hex kp.Rsa.public.Rsa.n; c_hex = Nat.to_hex c; next_draw }
+
+let check_golden name expect got =
+  Alcotest.(check string) (name ^ " modulus") expect.n_hex got.n_hex;
+  Alcotest.(check string) (name ^ " ciphertext") expect.c_hex got.c_hex;
+  Alcotest.(check int64) (name ^ " next draw") expect.next_draw got.next_draw
+
+let golden_pins =
+  [
+    ( "paillier seed 101 bits 512",
+      {
+        n_hex =
+          "7a0be093db56791426c764f10b137902ec99873e8a92f971accc596a65f3ce47\
+          7456300310b6e73cd29111145c3f0b0b8a0028a7ab6d8be8c77ac7a5747c55dd";
+        c_hex =
+          "1890c4833bbee68095e6cdf74a1b3e896e761f3ec8d91de45c0f82f6aa13fe47\
+          d3de352f46c9d12ea848679e8cfa353d3b8623c1136351648cdc450c50251014\
+          844e103c2a0c1c055124671018e91cfc1e68a42fae87ed9affc64ae4435df974\
+          edb5b7a1fc9b9e5b4d4feb0f6ea84b09a45b41f417497b9fed0f29794f8fdf3a";
+        next_draw = 8918648087918433419L;
+      } );
+    ( "paillier seed 102 bits 1024",
+      {
+        n_hex =
+          "d22a6a19523be7e2ee0c2ac4fb007b0e3803cc972a35efd6969b91bae1ef9a39\
+          ac2ce450459d8fcc596f6b8b9b32c625f9f79f6eb6329a40a630762c365b57a7\
+          4956fb4f6aaf58f33f9fede32cc7310efd9aebc2aa93445b837c811eb9ce8307\
+          0f05b9b86a853dae108a47ea4c250a3d9449ca3bc5897d06b313db7111256d07";
+        c_hex =
+          "60db4a4f483d6729f465fb21e67c7a4640a78dbaed922b871d5b6569d76a6917\
+          a8d376fe3b9f95576f8ae3a627450aef35bede07a109a46326674b447129809d\
+          f5f55ba56b705cda9ee2fa292b8331784b1fb3123476a11d32c19bd47d0febdf\
+          cc1a2b44b1dc374750ab56e6b2e7a361aabd14b142073fcecb7e11ef972edb70\
+          297c21975bee8e8b7757c0e471abb8fb4c607b755fa935ecc1902b8bbb1ce09a\
+          e2da4267eb4adfa0b52d0a727bb7f9aac403f767d6b1dc0cfeee062b7d006a3a\
+          7dc2032bc2a7cfbb552241ab5948dc021a35e45b086adc726e411ffcb7e2a365\
+          342b4e4232e18e0562ba873322505fddbb2e653f522facb5217bde861d487b5";
+        next_draw = 2683234854226413874L;
+      } );
+    ( "rsa seed 201 bits 512",
+      {
+        n_hex =
+          "abbb68a9a6cad78508cbba3a7147b5f32e096b75f4a19480b822b5e60c3cb9d5\
+          df857318e3d167a372512d4d44a00b77a9474bd63ddc88e0b0d83f66a9340aff";
+        c_hex =
+          "98c50c44452131cd589c84711162060dafb21a5cc400766e2743284c2188e78c\
+          975402305aac7ca06d8db55d3d7433eca332a452808f33ba8234da8c90831762";
+        next_draw = (-9115140527978805755L);
+      } );
+    ( "rsa seed 202 bits 1024",
+      {
+        n_hex =
+          "95069b8deb2b520b60b7c7a021e9de0256db85297377ecc0d37ecc659cf958c1\
+          22e09f619f850144da597edaae037cbe3c4bbb584ca7b9e94b92d92b2e0d65c8\
+          67779d1c51b35808540f15613b4159b42348cd012778ce96d2c766f3f615785e\
+          0724e62759133d6404b9feaeacc4824fb9e2f6219f743a9541b5e839beaeecb7";
+        c_hex =
+          "5aaed52d527c9a9dd4f851446e1a26e3a98c7df09e1584280fa2c2a9f128e068\
+          aeda43db446fa9380e816820e222bf935b544e2f1cd7ac43b001056224823cfa\
+          a834a1009c58bb9449adce582526d8475e11c6f1b41ab1d36fe57975931db453\
+          fd4be2870d2afb4f19621c45bb273e52f67b10e4029be52a6090a94d3beaeba0";
+        next_draw = (-3057679287667170807L);
+      } );
+  ]
+
+let test_golden kind ~seed ~bits () =
+  let name = Printf.sprintf "%s seed %d bits %d" kind seed bits in
+  let got = (if kind = "paillier" then paillier_golden else rsa_golden) ~seed ~bits in
+  check_golden name (List.assoc name golden_pins) got
+
 (* --- shift cipher ------------------------------------------------------- *)
 
 let test_shift_roundtrip () =
@@ -371,6 +470,13 @@ let () =
           Alcotest.test_case "CRT decrypt equality" `Quick test_paillier_crt_equals_plain;
           Alcotest.test_case "fixed-base encryptor" `Quick test_paillier_fixed_base_encryptor;
           Alcotest.test_case "key too small" `Quick test_paillier_key_too_small;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "paillier 512" `Quick (test_golden "paillier" ~seed:101 ~bits:512);
+          Alcotest.test_case "paillier 1024" `Slow (test_golden "paillier" ~seed:102 ~bits:1024);
+          Alcotest.test_case "rsa 512" `Quick (test_golden "rsa" ~seed:201 ~bits:512);
+          Alcotest.test_case "rsa 1024" `Slow (test_golden "rsa" ~seed:202 ~bits:1024);
         ] );
       ( "shift-cipher",
         [
