@@ -516,6 +516,19 @@ let transcript_payload_bytes transcript =
 
 (* --- spe generate ------------------------------------------------------ *)
 
+(* Create [dir] and any missing parents. *)
+let rec ensure_dir dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok () else Error (dir ^ " exists and is not a directory")
+  else
+    match ensure_dir (Filename.dirname dir) with
+    | Error _ as e -> e
+    | Ok () -> (
+      match Unix.mkdir dir 0o755 with
+      | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) -> Ok ()
+      | exception Unix.Unix_error (err, _, _) ->
+        Error (Printf.sprintf "cannot create directory %s: %s" dir (Unix.error_message err)))
+
 let generate_cmd =
   let users =
     Arg.(value & opt int 100 & info [ "users" ] ~docv:"N" ~doc:"Number of users.")
@@ -545,7 +558,9 @@ let generate_cmd =
       & info [ "probability" ] ~docv:"P" ~doc:"Planted influence probability per arc.")
   in
   let out_dir =
-    Arg.(value & opt string "." & info [ "out" ] ~docv:"DIR" ~doc:"Output directory.")
+    Arg.(
+      value & opt string "."
+      & info [ "out" ] ~docv:"DIR" ~doc:"Output directory, created with its parents if missing.")
   in
   let classes =
     Arg.(
@@ -556,7 +571,7 @@ let generate_cmd =
              by a random provider subset, scatter records accordingly and write a \
              spec.txt alongside the logs.  0 (default) = exclusive split.")
   in
-  let run seed users model density actions providers probability out_dir classes =
+  let write_inputs seed users model density actions providers probability out_dir classes =
     let s = State.create ~seed () in
     let g =
       match model with
@@ -595,8 +610,15 @@ let generate_cmd =
         let path = Filename.concat out_dir (Printf.sprintf "provider-%d.log" (k + 1)) in
         Log_io.save part path;
         Printf.printf "wrote %s (%d records)\n" path (Log.size part))
-      parts;
-    `Ok ()
+      parts
+  in
+  let run seed users model density actions providers probability out_dir classes =
+    match ensure_dir out_dir with
+    | Error msg -> `Error (true, "--out: " ^ msg)
+    | Ok () -> (
+      match write_inputs seed users model density actions providers probability out_dir classes with
+      | () -> `Ok ()
+      | exception Sys_error msg -> `Error (true, "--out: " ^ msg))
   in
   let term =
     Term.(
@@ -2076,16 +2098,29 @@ let shutdown_cmd =
     match Serve_addr.roster_of_string roster with
     | Error msg -> `Error (true, msg)
     | Ok roster -> (
-      match Serve_client.shutdown_roster ~timeout roster with
+      let seats = Serve_client.shutdown_seats ~timeout roster in
+      let failures =
+        List.concat
+          (List.mapi
+             (fun party -> function
+               | Serve_client.Stopped -> []
+               | Serve_client.Timed_out ->
+                 [ Printf.sprintf "%s did not confirm shutdown in %.0f s"
+                     (Serve_addr.party_name party) timeout ]
+               | Serve_client.Unreachable msg ->
+                 [ Printf.sprintf "%s unreachable: %s" (Serve_addr.party_name party) msg ])
+             (Array.to_list seats))
+      in
+      let stopped = Array.length roster - List.length failures in
+      match failures with
       | [] ->
-        Printf.printf "all %d daemons drained and stopped\n" (Array.length roster);
+        Printf.printf "all %d daemons drained and stopped\n" stopped;
         `Ok ()
-      | stragglers ->
+      | _ ->
         `Error
           ( false,
-            Printf.sprintf "daemon(s) did not confirm shutdown in %.0f s: %s" timeout
-              (String.concat ", " (List.map Serve_addr.party_name stragglers)) )
-      | exception Serve_client.Connection_lost msg -> `Error (false, msg))
+            Printf.sprintf "%d of %d daemons confirmed shutdown; %s" stopped
+              (Array.length roster) (String.concat "; " failures) ))
   in
   Cmd.v
     (Cmd.info "shutdown"

@@ -1,6 +1,10 @@
-(* Word-level Montgomery multiplication (CIOS) over Nat's base-2^30
-   limbs.  All intermediate products fit the 63-bit native int:
-   (2^30 - 1)^2 + 2 * (2^30 - 1) < 2^61. *)
+(* Word-level Montgomery multiplication over Nat's base-2^30 limbs, one
+   fused pass per limb of [a].  Each inner step adds a_i * b_j, the
+   reduction term m * n_j, the running limb t_j and the carry; with
+   30-bit limbs that sum is at most
+   2 * (2^30 - 1)^2 + (2^30 - 1) + 2^32 < 2^62,
+   so it fits the 63-bit native int, and it is written straight to
+   t_(j-1): the division by the base costs no separate shift loop. *)
 
 let limb_bits = Nat.limb_bits
 let limb_mask = (1 lsl limb_bits) - 1
@@ -11,6 +15,7 @@ type t = {
   k : int;
   n0_inv : int;  (* -modulus^-1 mod 2^limb_bits *)
   r2 : int array;  (* R^2 mod modulus, width k *)
+  one : int array;  (* plain 1, width k: the multiplier of [of_mont] *)
   one_mont : int array;  (* R mod modulus, width k *)
 }
 
@@ -25,65 +30,55 @@ let inv_limb m0 =
   done;
   !inv land limb_mask
 
-(* One CIOS pass: result = a * b * R^-1 mod modulus, operands in
-   Montgomery form, arrays of width k. *)
+(* t >= n, both of width k. *)
+let geq t n k =
+  let rec cmp j =
+    if j < 0 then true
+    else
+      let tj = Array.unsafe_get t j and nj = Array.unsafe_get n j in
+      if tj <> nj then tj > nj else cmp (j - 1)
+  in
+  cmp (k - 1)
+
+(* result = a * b * R^-1 mod modulus for operands of width k below R.
+   The running value t lives in the result array plus one top bit:
+   it stays below modulus + R < 2R after every step, and below
+   2 * modulus when both operands are reduced. *)
 let mont_mul ctx a b =
   let k = ctx.k in
-  let t = Array.make (k + 2) 0 in
+  if Array.length a <> k || Array.length b <> k then
+    invalid_arg "Montgomery.mul_limbs: operand width differs from the modulus";
+  let n = ctx.n and n0_inv = ctx.n0_inv in
+  let t = Array.make k 0 in
+  let top = ref 0 in
   for i = 0 to k - 1 do
-    (* t += a.(i) * b *)
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- s land limb_mask;
+    let ai = Array.unsafe_get a i in
+    (* m zeroes the low limb, which the fused pass then drops. *)
+    let s = Array.unsafe_get t 0 + (ai * Array.unsafe_get b 0) in
+    let m = (s land limb_mask) * n0_inv land limb_mask in
+    let c = ref ((s + (m * Array.unsafe_get n 0)) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let s =
+        Array.unsafe_get t j + (ai * Array.unsafe_get b j) + (m * Array.unsafe_get n j) + !c
+      in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
       c := s lsr limb_bits
     done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* t += m * modulus with m chosen to zero the low limb, then shift. *)
-    let m = t.(0) * ctx.n0_inv land limb_mask in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (m * ctx.n.(j)) + !c in
-      t.(j) <- s land limb_mask;
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* Divide by the base: t.(0) is zero by construction. *)
-    for j = 0 to k do
-      t.(j) <- t.(j + 1)
-    done;
-    t.(k + 1) <- 0
+    let s = !top + !c in
+    Array.unsafe_set t (k - 1) (s land limb_mask);
+    top := s lsr limb_bits
   done;
-  (* Conditional subtraction: t < 2 * modulus at this point. *)
-  let ge_modulus =
-    if t.(k) > 0 then true
-    else begin
-      let rec cmp j = if j < 0 then true else if t.(j) <> ctx.n.(j) then t.(j) > ctx.n.(j) else cmp (j - 1) in
-      cmp (k - 1)
-    end
-  in
-  let out = Array.make ctx.k 0 in
-  if ge_modulus then begin
+  (* One conditional subtraction; a set top bit is cancelled by the
+     final borrow. *)
+  if !top > 0 || geq t n k then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
-      let d = t.(j) - ctx.n.(j) - !borrow in
-      if d < 0 then begin
-        out.(j) <- d + (1 lsl limb_bits);
-        borrow := 1
-      end
-      else begin
-        out.(j) <- d;
-        borrow := 0
-      end
+      let d = Array.unsafe_get t j - Array.unsafe_get n j - !borrow in
+      Array.unsafe_set t j (d land limb_mask);
+      borrow := Bool.to_int (d < 0)
     done
-  end
-  else Array.blit t 0 out 0 k;
-  out
+  end;
+  t
 
 let create modulus =
   if Nat.is_even modulus || Nat.compare modulus (Nat.of_int 3) < 0 then
@@ -93,33 +88,30 @@ let create modulus =
   let n0_inv = limb_mask land ((1 lsl limb_bits) - inv_limb n.(0)) in
   let r = Nat.shift_left Nat.one (limb_bits * k) in
   let r2 = Nat.to_limbs (Nat.rem (Nat.mul r r) modulus) ~width:k in
+  let one = Nat.to_limbs Nat.one ~width:k in
   let one_mont = Nat.to_limbs (Nat.rem r modulus) ~width:k in
-  { modulus; n; k; n0_inv; r2; one_mont }
+  { modulus; n; k; n0_inv; r2; one; one_mont }
 
-let to_mont ctx x =
-  let x = Nat.rem x ctx.modulus in
-  mont_mul ctx (Nat.to_limbs x ~width:ctx.k) ctx.r2 |> Nat.of_limbs
+let to_mont_limbs ctx x = mont_mul ctx (Nat.to_limbs (Nat.rem x ctx.modulus) ~width:ctx.k) ctx.r2
+let of_mont_limbs ctx a = Nat.of_limbs (mont_mul ctx a ctx.one)
 
-let of_mont ctx x =
-  let one = Array.make ctx.k 0 in
-  one.(0) <- 1;
-  mont_mul ctx (Nat.to_limbs x ~width:ctx.k) one |> Nat.of_limbs
-
-let mul ctx a b =
-  Nat.of_limbs (mont_mul ctx (Nat.to_limbs a ~width:ctx.k) (Nat.to_limbs b ~width:ctx.k))
-
-let pow ctx ~base ~exp =
-  let base_m = Nat.to_limbs (to_mont ctx base) ~width:ctx.k in
-  let acc = ref (Array.copy ctx.one_mont) in
+(* Left-to-right square-and-multiply on Montgomery-form limbs. *)
+let pow_limbs ctx base_m exp =
+  let acc = ref ctx.one_mont in
   for i = Nat.bit_length exp - 1 downto 0 do
     acc := mont_mul ctx !acc !acc;
     if Nat.test_bit exp i then acc := mont_mul ctx !acc base_m
   done;
-  of_mont ctx (Nat.of_limbs !acc)
+  !acc
 
-(* Limb-level access for the sibling [Fixed_base] module. *)
+let to_mont ctx x = Nat.of_limbs (to_mont_limbs ctx x)
+let of_mont ctx x = of_mont_limbs ctx (Nat.to_limbs x ~width:ctx.k)
+
+let mul ctx a b =
+  Nat.of_limbs (mont_mul ctx (Nat.to_limbs a ~width:ctx.k) (Nat.to_limbs b ~width:ctx.k))
+
+let pow ctx ~base ~exp = of_mont_limbs ctx (pow_limbs ctx (to_mont_limbs ctx base) exp)
+
 let width ctx = ctx.k
 let one_mont_limbs ctx = Array.copy ctx.one_mont
-let to_mont_limbs ctx x = Nat.to_limbs (to_mont ctx x) ~width:ctx.k
-let of_mont_limbs ctx a = of_mont ctx (Nat.of_limbs a)
 let mul_limbs = mont_mul

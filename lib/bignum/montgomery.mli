@@ -3,8 +3,11 @@
     {!Nat.mod_pow} reduces with a full Knuth-D division after every
     multiplication; Montgomery form replaces those divisions with
     shift-and-add reductions, which is the standard speed-up for the
-    RSA/Paillier workloads of Protocol 6 (the bench quantifies the
-    factor).  The context precomputes [R = 2^(limb_bits * k) > modulus],
+    RSA/Paillier workloads of Protocol 6 and for the Miller-Rabin
+    rounds of [Spe_crypto.Prime] (the bench quantifies the factor).
+    Each multiplication is one fused pass per limb: multiply, reduce
+    and shift in a single inner loop whose sums stay below 2^62.  The
+    context precomputes [R = 2^(limb_bits * k) > modulus],
     [R^2 mod modulus] and [-modulus^-1 mod 2^limb_bits]. *)
 
 type t
@@ -33,13 +36,23 @@ val pow : t -> base:Nat.t -> exp:Nat.t -> Nat.t
 
 (**/**)
 
-(* Limb-level access for the sibling [Fixed_base] module: raw
-   Montgomery-form limb arrays of the context's width, avoiding a
-   Nat round-trip per multiplication.  Not part of the public API. *)
+(* Limb-level access for [Fixed_base] and for Miller-Rabin in
+   [Spe_crypto.Prime]: raw Montgomery-form limb arrays of the
+   context's width, avoiding a Nat round-trip per multiplication.
+   Results are fresh arrays except that [pow_limbs] may return the
+   context's own [R mod modulus]; callers never mutate them.  Not part
+   of the public API. *)
 val width : t -> int
 val one_mont_limbs : t -> int array
 val to_mont_limbs : t -> Nat.t -> int array
 val of_mont_limbs : t -> int array -> Nat.t
+
 val mul_limbs : t -> int array -> int array -> int array
+(* Raises [Invalid_argument] unless both operands have the context's
+   width. *)
+
+val pow_limbs : t -> int array -> Nat.t -> int array
+(* [pow_limbs ctx base_m exp]: Montgomery-form base to Montgomery-form
+   power. *)
 
 (**/**)

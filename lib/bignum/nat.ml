@@ -209,6 +209,14 @@ let divmod_small (u : t) d =
   done;
   (norm q, !r)
 
+let rem_int (u : t) d =
+  if d <= 0 || d >= base then invalid_arg "Nat.rem_int: divisor out of limb range";
+  let r = ref 0 in
+  for i = Array.length u - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor u.(i)) mod d
+  done;
+  !r
+
 (* Knuth TAOCP vol. 2, Algorithm 4.3.1-D.  [v] has >= 2 limbs. *)
 let divmod_knuth (u : t) (v : t) =
   let n = Array.length v in

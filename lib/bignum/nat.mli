@@ -64,6 +64,11 @@ val divmod : t -> t -> t * t
 val div : t -> t -> t
 val rem : t -> t -> t
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] for a divisor [0 < d < 2^30], computed
+    limb by limb without allocating.  Raises [Invalid_argument] for a
+    divisor outside that range. *)
+
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
@@ -97,7 +102,12 @@ val pow : t -> int -> t
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** [mod_pow ~base ~exp ~modulus] is [base^exp mod modulus].  Raises
-    [Division_by_zero] if [modulus] is zero; [mod_pow _ _ one = zero]. *)
+    [Division_by_zero] if [modulus] is zero; [mod_pow _ _ one = zero].
+    It reduces with a full division after every multiplication and
+    works for any modulus, even ones; odd moduli have the faster
+    [Montgomery.pow].  Key generation no longer calls it: Miller-Rabin
+    runs in Montgomery form.  It stays as the reference oracle of the
+    Montgomery tests. *)
 
 val random_bits : Spe_rng.State.t -> int -> t
 (** Uniform value with at most the given number of bits. *)

@@ -150,7 +150,7 @@ let decryptor ?(crt = true) (sk : secret) =
       Nat.rem (Nat.mul (ell ~n:sk.n x) sk.mu) sk.n
   | Some crt ->
     (* Half-size split: exponent p - 1 instead of lambda (a quarter of
-       the bits) over p^2 instead of n^2 (a quarter of the CIOS work),
+       the bits) over p^2 instead of n^2 (a quarter of the Montgomery work),
        and symmetrically for q.  See PERFORMANCE.md for the count. *)
     let ctx_p = Montgomery.create crt.p_squared in
     let ctx_q = Montgomery.create crt.q_squared in

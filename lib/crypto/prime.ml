@@ -1,4 +1,5 @@
 module Nat = Spe_bignum.Nat
+module Montgomery = Spe_bignum.Montgomery
 module State = Spe_rng.State
 
 let small_primes =
@@ -18,47 +19,56 @@ let small_primes =
   done;
   Array.of_list (List.rev !primes)
 
-(* [None] = passes trial division; [Some b] = verdict [b]. *)
+(* [None] = passes trial division; [Some b] = verdict [b].  The first
+   small prime dividing n decides: n is prime iff it is that prime. *)
 let trial_division n =
-  match Nat.to_int n with
+  let small = Nat.to_int n in
+  match small with
   | Some v when v < 2 -> Some false
   | _ ->
-    let exception Verdict of bool in
-    (try
-       Array.iter
-         (fun p ->
-           let np = Nat.of_int p in
-           if Nat.compare n np = 0 then raise (Verdict true)
-           else if Nat.is_zero (Nat.rem n np) then raise (Verdict false))
-         small_primes;
-       None
-     with Verdict b -> Some b)
+    let rec scan i =
+      if i = Array.length small_primes then None
+      else
+        let p = small_primes.(i) in
+        if Nat.rem_int n p = 0 then Some (small = Some p) else scan (i + 1)
+    in
+    scan 0
 
-let miller_rabin_round st n =
-  (* n odd, n > 3.  Write n - 1 = 2^s * d with d odd. *)
+(* Miller-Rabin for odd n > 3 in Montgomery form: one context per
+   candidate serves the a^d power and the squaring loop of every
+   round, and the witnesses 1 and n - 1 are compared in Montgomery
+   form too (the map is a bijection mod n). *)
+let miller_rabin st ~rounds n =
+  let ctx = Montgomery.create n in
   let n_minus_1 = Nat.pred n in
+  (* Write n - 1 = 2^s * d with d odd. *)
   let rec strip d s = if Nat.is_even d then strip (Nat.shift_right d 1) (s + 1) else (d, s) in
   let d, s = strip n_minus_1 0 in
-  (* Base a uniform in [2, n - 2]. *)
-  let a = Nat.add Nat.two (Nat.random_below st (Nat.sub n (Nat.of_int 3))) in
-  let x = Nat.mod_pow ~base:a ~exp:d ~modulus:n in
-  if Nat.is_one x || Nat.equal x n_minus_1 then true
-  else begin
-    let rec square_loop x i =
-      if i >= s - 1 then false
-      else
-        let x = Nat.rem (Nat.mul x x) n in
-        if Nat.equal x n_minus_1 then true else square_loop x (i + 1)
-    in
-    square_loop x 0
-  end
+  let one = Montgomery.one_mont_limbs ctx in
+  let minus_one = Montgomery.to_mont_limbs ctx n_minus_1 in
+  let n_minus_3 = Nat.sub n (Nat.of_int 3) in
+  let round () =
+    (* Base a uniform in [2, n - 2]. *)
+    let a = Nat.add Nat.two (Nat.random_below st n_minus_3) in
+    let x = Montgomery.pow_limbs ctx (Montgomery.to_mont_limbs ctx a) d in
+    if x = one || x = minus_one then true
+    else begin
+      let rec square_loop x i =
+        if i >= s - 1 then false
+        else
+          let x = Montgomery.mul_limbs ctx x x in
+          if x = minus_one then true else square_loop x (i + 1)
+      in
+      square_loop x 0
+    end
+  in
+  let rec loop i = i >= rounds || (round () && loop (i + 1)) in
+  loop 0
 
 let is_prime ?(rounds = 20) st n =
   match trial_division n with
   | Some verdict -> verdict
-  | None ->
-    let rec loop i = i >= rounds || (miller_rabin_round st n && loop (i + 1)) in
-    loop 0
+  | None -> miller_rabin st ~rounds n
 
 let random_prime ?rounds st ~bits =
   if bits < 2 then invalid_arg "Prime.random_prime: need at least 2 bits";

@@ -2,10 +2,13 @@
 
     Protocol 6 requires a public-key cryptosystem; its moduli are built
     from random primes produced here.  Candidates are screened by trial
-    division against a table of small primes, then subjected to
-    Miller-Rabin with independently drawn bases.  For the b-bit sizes
-    used in this repository (up to 1024-bit moduli) 20 rounds give a
-    failure probability far below 4^-20. *)
+    division against a table of small primes (single-limb remainders,
+    {!Spe_bignum.Nat.rem_int}), then subjected to Miller-Rabin with
+    independently drawn bases.  Miller-Rabin runs in Montgomery form:
+    one {!Spe_bignum.Montgomery} context per candidate serves the
+    [a^d] power and the squaring loop of every round.  For the b-bit
+    sizes used in this repository (up to 1024-bit moduli) 20 rounds
+    give a failure probability far below 4^-20. *)
 
 val small_primes : int array
 (** The primes below 1000, used for trial division. *)

@@ -87,7 +87,7 @@ let decryptor ?(crt = true) (sk : secret) =
   | Some crt ->
     (* Two half-size exponentiations: ~4x cheaper than one full-size
        (half the multiplications, each on half-width operands whose
-       CIOS pass is quadratic in the limb count). *)
+       Montgomery multiply is quadratic in the limb count). *)
     let ctx_p = Montgomery.create crt.p in
     let ctx_q = Montgomery.create crt.q in
     fun c ->

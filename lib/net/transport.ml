@@ -236,10 +236,30 @@ module Socket = struct
     Bytes.blit body 0 prefixed Frame.length_prefix_bytes len;
     really_write fd prefixed 0 (Bytes.length prefixed)
 
+  (* The body length a prefix announces.  A prefix with the sign bit
+     set names no frame: the stream is corrupt, and every reader closes
+     the connection that carried it. *)
+  let body_length buf off =
+    let len = Int32.to_int (Bytes.get_int32_be buf off) in
+    if len < 0 then raise Closed else len
+
   let read_frame fd =
     match really_read fd Frame.length_prefix_bytes with
     | None -> None
-    | Some prefix -> really_read fd (Int32.to_int (Bytes.get_int32_be prefix 0))
+    | Some prefix -> really_read fd (body_length prefix 0)
+
+  let split_frames buf ~off ~len deliver =
+    let rec go pos =
+      if len - pos < Frame.length_prefix_bytes then pos
+      else
+        let flen = body_length buf (off + pos) in
+        if len - pos < Frame.length_prefix_bytes + flen then pos
+        else begin
+          deliver (Bytes.sub buf (off + pos + Frame.length_prefix_bytes) flen);
+          go (pos + Frame.length_prefix_bytes + flen)
+        end
+    in
+    go 0
 
   (* A full-duplex descriptor shared by one endpoint's sender and the
      group's poller thread.  The send mutex makes teardown safe: the
@@ -374,26 +394,23 @@ module Socket = struct
                    let i = Hashtbl.find owner_of fd in
                    match Unix.read fd chunk 0 (Bytes.length chunk) with
                    | 0 -> drop fd
-                   | nread ->
+                   | nread -> (
                      let prev =
                        Option.value ~default:Bytes.empty (Hashtbl.find_opt tails fd)
                      in
                      let data = Bytes.cat prev (Bytes.sub chunk 0 nread) in
                      let total = Bytes.length data in
-                     let pos = ref 0 in
-                     let rec consume () =
-                       if total - !pos >= Frame.length_prefix_bytes then begin
-                         let flen = Int32.to_int (Bytes.get_int32_be data !pos) in
-                         if total - !pos >= Frame.length_prefix_bytes + flen then begin
-                           let body = Bytes.sub data (!pos + Frame.length_prefix_bytes) flen in
-                           (try Mailbox.push mailboxes.(i) body with Closed -> ());
-                           pos := !pos + Frame.length_prefix_bytes + flen;
-                           consume ()
-                         end
-                       end
-                     in
-                     consume ();
-                     Hashtbl.replace tails fd (Bytes.sub data !pos (total - !pos))
+                     match
+                       split_frames data ~off:0 ~len:total (fun body ->
+                           try Mailbox.push mailboxes.(i) body with Closed -> ())
+                     with
+                     | pos -> Hashtbl.replace tails fd (Bytes.sub data pos (total - pos))
+                     | exception Closed ->
+                       (* Corrupt stream: the owner's next receive
+                          raises [Closed] and the peer's sends fail. *)
+                       Mailbox.close mailboxes.(i);
+                       (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+                       drop fd)
                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                    | exception Unix.Unix_error _ -> drop fd)
                  ready
@@ -592,21 +609,20 @@ module Socket = struct
       | nread ->
         s.Slab.len <- s.Slab.len + nread;
         let delivered = ref false in
-        let rec consume () =
-          if s.Slab.len >= Frame.length_prefix_bytes then begin
-            let flen = Int32.to_int (Bytes.get_int32_be s.Slab.buf s.Slab.off) in
-            if s.Slab.len >= Frame.length_prefix_bytes + flen then begin
-              let body = Bytes.sub s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen in
-              Slab.consume s (Frame.length_prefix_bytes + flen);
-              if not ib.rx_closed then begin
-                Queue.push body ib.q;
-                delivered := true
-              end;
-              consume ()
-            end
-          end
-        in
-        consume ();
+        (match
+           split_frames s.Slab.buf ~off:s.Slab.off ~len:s.Slab.len (fun body ->
+               if not ib.rx_closed then begin
+                 Queue.push body ib.q;
+                 delivered := true
+               end)
+         with
+        | used -> Slab.consume s used
+        | exception Closed ->
+          (* Corrupt stream: drop the connection and close the owner's
+             inbox, so its next receive raises [Closed]. *)
+          kill_conn c;
+          ib.rx_closed <- true;
+          delivered := true);
         if !delivered then notify_inbox ib
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> kill_conn c

@@ -165,5 +165,15 @@ module Socket : sig
 
   val read_frame : Unix.file_descr -> bytes option
   (** Read one length-prefixed frame body; [None] on clean EOF before
-      the first byte, [Failure] on a torn stream. *)
+      the first byte, [Failure] on a torn stream, [Closed] on a length
+      prefix with the sign bit set.  The caller owns the descriptor
+      and closes it. *)
+
+  val split_frames : bytes -> off:int -> len:int -> (bytes -> unit) -> int
+  (** [split_frames buf ~off ~len deliver] hands every complete frame
+      body in [buf.(off) .. buf.(off + len - 1)] to [deliver], in
+      order, and returns the bytes consumed; a split frame's tail is
+      left for the next read.  Raises [Closed] at a length prefix with
+      the sign bit set, after delivering the frames before it.  Both
+      group engines read their connections through it. *)
 end

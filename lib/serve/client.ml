@@ -91,9 +91,10 @@ let next_reply t ~deadline =
       | [], _, _ -> None
       | _ -> (
         match
-          try Serve_proto.read t.fd
-          with Unix.Unix_error (err, _, _) ->
-            raise (Connection_lost (Unix.error_message err))
+          try Serve_proto.read t.fd with
+          | Unix.Unix_error (err, _, _) -> raise (Connection_lost (Unix.error_message err))
+          | Spe_net.Transport.Closed ->
+            raise (Connection_lost "the host daemon sent a corrupt frame length")
         with
         | None -> raise (Connection_lost "the host daemon closed the connection")
         | Some (Serve_proto.Job_result { job; reply }) -> Some (job, Result reply)
@@ -161,19 +162,20 @@ let shutdown_daemon ?(timeout = 30.) (addr : Addr.t) =
       in
       await_eof ())
 
+type seat_shutdown = Stopped | Timed_out | Unreachable of string
+
 (* Graceful deployment shutdown: H first — no new jobs can then be
    racing the providers' teardown — then each provider in roster
-   order.  Returns the parties that failed to confirm within the
-   per-daemon timeout. *)
-let shutdown_roster ?timeout (roster : Addr.t array) =
-  let stragglers = ref [] in
-  Array.iteri
-    (fun party addr ->
+   order.  A seat counts as stopped only once its daemon confirmed. *)
+let shutdown_seats ?timeout (roster : Addr.t array) =
+  Array.map
+    (fun addr ->
       match shutdown_daemon ?timeout addr with
-      | true -> ()
-      | false -> stragglers := party :: !stragglers
-      | exception Connection_lost _ ->
-        (* Already gone — that is what we wanted. *)
-        ())
-    roster;
-  List.rev !stragglers
+      | true -> Stopped
+      | false -> Timed_out
+      | exception Connection_lost msg -> Unreachable msg)
+    roster
+
+let shutdown_roster ?timeout roster =
+  let seats = shutdown_seats ?timeout roster in
+  List.filter (fun party -> seats.(party) <> Stopped) (List.init (Array.length seats) Fun.id)

@@ -45,7 +45,16 @@ val shutdown_daemon : ?timeout:float -> Addr.t -> bool
 (** Ask one daemon to shut down; [true] once it confirms by closing the
     connection (EOF), [false] on timeout (default 30 s). *)
 
-val shutdown_roster : ?timeout:float -> Addr.t array -> int list
+type seat_shutdown =
+  | Stopped  (** The daemon drained and closed the connection. *)
+  | Timed_out  (** Reached, but no confirmation within the timeout. *)
+  | Unreachable of string  (** No connection; the message says why. *)
+
+val shutdown_seats : ?timeout:float -> Addr.t array -> seat_shutdown array
 (** Shut the whole deployment down, H first (so no new jobs race the
-    providers' teardown).  Returns the party ids that failed to confirm
-    in time (empty = clean). *)
+    providers' teardown), then each provider in roster order; one
+    outcome per seat. *)
+
+val shutdown_roster : ?timeout:float -> Addr.t array -> int list
+(** {!shutdown_seats}, reduced to the party ids that did not confirm —
+    unreachable seats included (empty = clean). *)

@@ -189,6 +189,17 @@ let test_mod_pow_mod_one () =
   Alcotest.check nat "x^y mod 1 = 0" Nat.zero
     (Nat.mod_pow ~base:(Nat.of_int 5) ~exp:(Nat.of_int 3) ~modulus:Nat.one)
 
+let test_rem_int_range () =
+  let a = Nat.of_string "123456789012345678901234567890" in
+  Alcotest.(check int) "mod 7" (Nat.to_int_exn (Nat.rem a (Nat.of_int 7))) (Nat.rem_int a 7);
+  Alcotest.(check int) "zero dividend" 0 (Nat.rem_int Nat.zero 997);
+  Alcotest.check_raises "zero divisor"
+    (Invalid_argument "Nat.rem_int: divisor out of limb range") (fun () ->
+      ignore (Nat.rem_int a 0));
+  Alcotest.check_raises "divisor of 2^30"
+    (Invalid_argument "Nat.rem_int: divisor out of limb range") (fun () ->
+      ignore (Nat.rem_int a (1 lsl 30)))
+
 let test_random_below () =
   let s = st () in
   let bound = Nat.of_string "123456789012345678901234567890" in
@@ -291,6 +302,66 @@ let test_montgomery_rejects_even () =
   Alcotest.check_raises "even modulus"
     (Invalid_argument "Montgomery.create: modulus must be odd and >= 3")
     (fun () -> ignore (Montgomery.create (Nat.of_int 100)))
+
+let test_montgomery_width_mismatch () =
+  let m = Nat.of_string "987654321987654321987654321987" in
+  let ctx = Montgomery.create m in
+  let k = Montgomery.width ctx in
+  let x = Montgomery.to_mont_limbs ctx (Nat.of_int 5) in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "short left operand" (fun () -> Montgomery.mul_limbs ctx (Array.make (k - 1) 0) x);
+  raises "long right operand" (fun () -> Montgomery.mul_limbs ctx x (Array.make (k + 1) 0));
+  raises "operand wider than the modulus" (fun () ->
+      Montgomery.mul ctx (Nat.shift_left Nat.one (30 * k)) Nat.one)
+
+(* An odd modulus of exactly k limbs in one of four shapes: random;
+   top limb 2^30 - 1; every limb 2^30 - 1 (the fused sum's carries are
+   largest); top limb 1 (the modulus barely fills its width). *)
+let montgomery_case =
+  let open QCheck.Gen in
+  let top = (1 lsl 30) - 1 in
+  map
+    (fun (k, shape, seed) ->
+      let s = State.create ~seed () in
+      let limbs = Array.init k (fun _ -> State.next_bits s 30) in
+      (match shape with
+      | 0 -> limbs.(k - 1) <- max 1 limbs.(k - 1)
+      | 1 -> limbs.(k - 1) <- top
+      | 2 -> Array.fill limbs 0 k top
+      | _ -> limbs.(k - 1) <- 1);
+      limbs.(0) <- limbs.(0) lor 1;
+      let m = Nat.of_limbs limbs in
+      let m = if Nat.compare m (Nat.of_int 3) < 0 then Nat.of_int 3 else m in
+      (* Operands include the extremes 0 and m - 1 now and then. *)
+      let operand () =
+        match State.next_int s 6 with
+        | 0 -> Nat.zero
+        | 1 -> Nat.pred m
+        | _ -> Nat.random_below s m
+      in
+      let a = operand () in
+      let b = operand () in
+      (m, a, b, Nat.random_bits s (1 + State.next_int s 64)))
+    (triple (int_range 1 40) (int_range 0 3) nat)
+
+let montgomery_property =
+  QCheck.Test.make ~name:"montgomery mul/pow = Nat oracles, k = 1..40" ~count:400
+    (QCheck.make
+       ~print:(fun (m, a, b, e) ->
+         Printf.sprintf "m=%s a=%s b=%s e=%s" (Nat.to_hex m) (Nat.to_hex a) (Nat.to_hex b)
+           (Nat.to_hex e))
+       montgomery_case)
+    (fun (m, a, b, e) ->
+      let ctx = Montgomery.create m in
+      Nat.equal a (Montgomery.of_mont ctx (Montgomery.to_mont ctx a))
+      && Nat.equal (Nat.rem (Nat.mul a b) m)
+           (Montgomery.of_mont ctx
+              (Montgomery.mul ctx (Montgomery.to_mont ctx a) (Montgomery.to_mont ctx b)))
+      && Nat.equal (Nat.mod_pow ~base:a ~exp:e ~modulus:m) (Montgomery.pow ctx ~base:a ~exp:e))
 
 (* --- Fixed-base windows -------------------------------------------------- *)
 
@@ -457,6 +528,9 @@ let qcheck_tests =
         let a = Bigint.of_nat a and b = Bigint.of_nat b in
         let a = if flip mod 2 = 0 then a else Bigint.neg a in
         Bigint.equal a (Bigint.sub (Bigint.add a b) b));
+    montgomery_property;
+    Test.make ~name:"rem_int = rem" ~count:300 (pair (arb_nat 400) (int_range 1 ((1 lsl 30) - 1)))
+      (fun (a, d) -> Nat.equal (Nat.of_int (Nat.rem_int a d)) (Nat.rem a (Nat.of_int d)));
     Test.make ~name:"fixed-base pow = montgomery pow" ~count:60
       (triple (arb_nat 160) (arb_nat 160) (arb_nat 72))
       (fun (m, base, e) ->
@@ -497,6 +571,7 @@ let () =
           Alcotest.test_case "mod_pow fermat" `Quick test_mod_pow_fermat;
           Alcotest.test_case "mod_pow oracle" `Quick test_mod_pow_oracle;
           Alcotest.test_case "mod_pow mod 1" `Quick test_mod_pow_mod_one;
+          Alcotest.test_case "rem_int" `Quick test_rem_int_range;
           Alcotest.test_case "random_below" `Quick test_random_below;
           Alcotest.test_case "random_bits_exact" `Quick test_random_bits_exact;
         ] );
@@ -514,6 +589,7 @@ let () =
           Alcotest.test_case "multiplication" `Quick test_montgomery_mul;
           Alcotest.test_case "edge exponents" `Quick test_montgomery_edge_exponents;
           Alcotest.test_case "rejects even modulus" `Quick test_montgomery_rejects_even;
+          Alcotest.test_case "operand width mismatch" `Quick test_montgomery_width_mismatch;
         ] );
       ( "fixed-base",
         [

@@ -308,6 +308,32 @@ let test_socket_transport_delivers () =
     (Option.map Bytes.to_string (group.(2).Transport.recv ~deadline));
   group.(0).Transport.close ()
 
+(* A length prefix with the sign bit set is a corrupt stream: every
+   reader closes the connection with [Closed] instead of handing the
+   negative length to [Bytes.create] or [Bytes.sub]. *)
+let test_negative_length_prefix_closes () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () ->
+      Transport.Socket.write_frame a (Bytes.of_string "ok");
+      ignore (Unix.write_substring a "\xff\xff\xff\xf0" 0 4);
+      Alcotest.(check (option string)) "frame before the corrupt prefix" (Some "ok")
+        (Option.map Bytes.to_string (Transport.Socket.read_frame b));
+      Alcotest.check_raises "read_frame" Transport.Closed (fun () ->
+          ignore (Transport.Socket.read_frame b)));
+  (* The group engines' buffered path: frames before the prefix are
+     delivered, a split frame waits for its tail, the prefix closes. *)
+  let frames = Bytes.of_string "\000\000\000\002ok\000\000\000\005par" in
+  let got = ref [] in
+  let deliver body = got := Bytes.to_string body :: !got in
+  Alcotest.(check int) "split frame left for the next read" 6
+    (Transport.Socket.split_frames frames ~off:0 ~len:(Bytes.length frames) deliver);
+  let corrupt = Bytes.of_string "\000\000\000\002ok\xff\xff\xff\xf0" in
+  Alcotest.check_raises "split_frames" Transport.Closed (fun () ->
+      ignore (Transport.Socket.split_frames corrupt ~off:0 ~len:(Bytes.length corrupt) deliver));
+  Alcotest.(check (list string)) "delivered in order" [ "ok"; "ok" ] (List.rev !got)
+
 (* --- the Endpoint engine contract (Runtime.run edge cases) -------------------- *)
 
 (* A one-shot program: sends its floats to the next party in round 1,
@@ -1024,6 +1050,8 @@ let () =
         [
           Alcotest.test_case "memory delivery" `Quick test_memory_transport_delivers;
           Alcotest.test_case "socket delivery" `Quick test_socket_transport_delivers;
+          Alcotest.test_case "negative length prefix closes" `Quick
+            test_negative_length_prefix_closes;
         ] );
       ( "endpoint",
         [

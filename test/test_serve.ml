@@ -562,6 +562,25 @@ let test_daemon_kill_campaign () =
   | Harness.Fail { oracle; detail } ->
     Alcotest.fail (Printf.sprintf "%s violation: %s" oracle detail)
 
+(* --- shutdown ------------------------------------------------------------ *)
+
+(* With no daemon listening, no seat may count as stopped: each is
+   reported unreachable, by name and address. *)
+let test_shutdown_absent_roster () =
+  let roster = Transport.Socket.temp_unix_addresses ~m:3 in
+  let seats = Client.shutdown_seats ~timeout:1. roster in
+  Array.iteri
+    (fun party seat ->
+      match seat with
+      | Client.Unreachable msg ->
+        checkb "message names the address" true
+          (String.starts_with ~prefix:("cannot connect to " ^ Addr.to_string roster.(party)) msg)
+      | Client.Stopped | Client.Timed_out ->
+        Alcotest.failf "seat %d counted as reached" party)
+    seats;
+  check Alcotest.(list int) "every seat failed" [ 0; 1; 2 ]
+    (Client.shutdown_roster ~timeout:1. roster)
+
 let () =
   Alcotest.run "serve"
     [
@@ -576,6 +595,10 @@ let () =
           Alcotest.test_case "frames round-trip" `Quick test_proto_roundtrip;
           Alcotest.test_case "rejects malformed frames" `Quick
             test_proto_rejects_malformed;
+        ] );
+      ( "shutdown",
+        [
+          Alcotest.test_case "absent roster is not stopped" `Quick test_shutdown_absent_roster;
         ] );
       ( "scheduler",
         [ Alcotest.test_case "typed admission control" `Quick test_scheduler_admission ] );
