@@ -642,10 +642,9 @@ let pipeline_reports () =
 
 (* Sharding ablation: the links pipeline cut into k shards on every
    engine (DESIGN.md, "Sharded execution"), j = 4 concurrent sessions
-   on the real transports — the memory engine's blocking worker pool
-   (the differential oracle) and the socket engine's reactor shard
-   pool, where j bounds sessions in flight on the one loop thread,
-   not a thread count.  Payload bytes are asserted k-invariant across
+   on the real transports — the reactor shard pool over in-process
+   queues (memory) or socketpairs (socket), where j bounds sessions in
+   flight on the one loop thread, not a thread count.  Payload bytes are asserted k-invariant across
    all twelve rows; each row's wall_s is the observed end-to-end wall
    clock of the whole plan (the per-shard session walls live in the
    row's shards table), so the socket rows price the reactor's

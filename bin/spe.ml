@@ -83,6 +83,40 @@ let logs_opt_arg =
           "Provider action-log file; repeat once per provider.  Required unless \
            --connect.")
 
+(* --- input files and usage errors -------------------------------------- *)
+
+(* Sequence a usage check: [Error msg] ends the command with a usage
+   error (exit 124). *)
+let ( let* ) r f = match r with Error msg -> `Error (true, msg) | Ok v -> f v
+
+let at_least flag min v =
+  if v < min then Error (Printf.sprintf "%s must be at least %d" flag min) else Ok ()
+
+(* Every graph and action-log file the CLI reads goes through [load],
+   so a malformed or unreadable file is a usage error naming its flag
+   and path rather than an uncaught exception. *)
+let load ~flag read path =
+  match read path with
+  | v -> Ok v
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+    Error (Printf.sprintf "%s %s: %s" flag path msg)
+
+let load_graph path = load ~flag:"--graph" Graph_io.load path
+
+let load_graph_opt = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (load_graph path)
+
+let load_logs paths =
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | path :: rest -> (
+      match load ~flag:"--log" Log_io.load path with
+      | Ok log -> go (log :: acc) rest
+      | Error _ as e -> e)
+  in
+  go [] paths
+
 let connect_arg =
   Arg.(
     value
@@ -275,9 +309,10 @@ let pipeline_transport_arg =
         ~doc:
           "How to execute the protocol pipeline: the central reference implementation \
            (central), the composed party programs on the in-process engine (sim), or \
-           each party on its own thread over in-memory channels (memory) or Unix-domain \
-           sockets (socket).  The results and the NR/NM statistics are \
-           engine-independent; the real transports also report measured framed bytes.")
+           each party as a state machine on one event loop over in-memory queues \
+           (memory) or Unix-domain sockets (socket).  The results and the NR/NM \
+           statistics are engine-independent; the real transports also report measured \
+           framed bytes.")
 
 (* Run a composed pipeline session on the chosen non-central engine;
    returns the result plus the wire rebuilt from the message log, and
@@ -315,7 +350,7 @@ let run_pipeline_session ~trace transport session =
    sessions (results are bit-identical for every K — DESIGN.md,
    "Sharded execution").  On sim the plan is lowered back to one
    session; on memory/socket each stage's sessions run concurrently on
-   the Endpoint worker pool. *)
+   the Endpoint shard pool. *)
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -323,7 +358,7 @@ let shards_arg =
         ~doc:
           "Cut the pipeline into K concurrent per-shard sessions (DESIGN.md, \"Sharded \
            execution\").  Results are bit-identical for every K; on the memory and \
-           socket transports the shards run concurrently on a worker pool.  Requires a \
+           socket transports the shards run concurrently on one event loop.  Requires a \
            non-central --transport.")
 
 let workers_arg =
@@ -331,11 +366,11 @@ let workers_arg =
     value & opt int 4
     & info [ "workers" ] ~docv:"J"
         ~doc:
-          "Worker threads driving a sharded stage's sessions on the memory/socket \
-           transports (at most one per shard is ever active).")
+          "Shard sessions in flight per sharded stage on the memory/socket transports; \
+           all of them run on one event-loop thread.")
 
 (* Run a sharded Plan on a real transport: each stage's sessions go to
-   the Endpoint worker pool, with one recording trace per shard when
+   the Endpoint shard pool, with one recording trace per shard when
    observability was asked for.  Returns the merged result, aggregate
    wire statistics (NR = the plan's declared rounds, NM/MS summed over
    every shard's Net_wire log), a transcript grouped by shard, the
@@ -613,12 +648,16 @@ let generate_cmd =
       parts
   in
   let run seed users model density actions providers probability out_dir classes =
+    let* () = at_least "--users" 1 users in
+    let* () = at_least "--actions" 1 actions in
+    let* () = at_least "--providers" 1 providers in
     match ensure_dir out_dir with
     | Error msg -> `Error (true, "--out: " ^ msg)
     | Ok () -> (
       match write_inputs seed users model density actions providers probability out_dir classes with
       | () -> `Ok ()
-      | exception Sys_error msg -> `Error (true, "--out: " ^ msg))
+      | exception Sys_error msg -> `Error (true, "--out: " ^ msg)
+      | exception Invalid_argument msg -> `Error (false, msg))
   in
   let term =
     Term.(
@@ -701,6 +740,7 @@ let links_cmd =
       else if dp_public_degree <> None && graph_path = None then
         `Error (true, "--dp-public-degree needs --graph")
       else
+        let* public_graph = load_graph_opt graph_path in
         run_connect ~addr_spec ~jobs
           {
             Serve_proto.default_spec with
@@ -725,7 +765,7 @@ let links_cmd =
                 emit_dp_strengths
                   ~params:(dp_params ~seed ~dp_sensitivity epsilon)
                   ~public:
-                    (dp_arc_public ~dp_public_degree (Option.map Graph_io.load graph_path))
+                    (dp_arc_public ~dp_public_degree public_graph)
                   strengths)
             | _ -> ())
     | None ->
@@ -733,8 +773,8 @@ let links_cmd =
     | None, _ -> `Error (true, "--graph is required when not using --connect")
     | _, [] -> `Error (true, "--log is required when not using --connect")
     | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
     let estimator =
       match decay with
       | None -> Protocol4.Eq1
@@ -910,6 +950,7 @@ let scores_cmd =
       else if dp_public_degree <> None && graph_path = None then
         `Error (true, "--dp-public-degree needs --graph")
       else
+        let* public_graph = load_graph_opt graph_path in
         run_connect ~addr_spec ~jobs
           {
             Serve_proto.default_spec with
@@ -935,7 +976,7 @@ let scores_cmd =
                 emit_dp_vector
                   ~params:(dp_params ~seed ~dp_sensitivity epsilon)
                   ~public:
-                    (dp_node_public ~dp_public_degree (Option.map Graph_io.load graph_path))
+                    (dp_node_public ~dp_public_degree public_graph)
                   ~what:"user scores" scores)
             | _ -> ())
     | None ->
@@ -943,8 +984,8 @@ let scores_cmd =
     | None, _ -> `Error (true, "--graph is required when not using --connect")
     | _, [] -> `Error (true, "--log is required when not using --connect")
     | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
     let config = { Protocol6.default_config with Protocol6.key_bits; pack_slots } in
     let modulus = 1 lsl modulus_bits in
     let s = State.create ~seed () in
@@ -1110,6 +1151,7 @@ let rank_cmd =
       else if dp_public_degree <> None && graph_path = None then
         `Error (true, "--dp-public-degree needs --graph")
       else
+        let* public_graph = load_graph_opt graph_path in
         run_connect ~addr_spec ~jobs
           {
             Serve_proto.default_spec with
@@ -1138,7 +1180,7 @@ let rank_cmd =
                 emit_dp_vector
                   ~params:(dp_params ~seed ~dp_sensitivity epsilon)
                   ~public:
-                    (dp_node_public ~dp_public_degree (Option.map Graph_io.load graph_path))
+                    (dp_node_public ~dp_public_degree public_graph)
                   ~what:"rank vector" ranks)
             | _ -> ())
     | None ->
@@ -1146,8 +1188,8 @@ let rank_cmd =
     | None, _ -> `Error (true, "--graph is required when not using --connect")
     | _, [] -> `Error (true, "--log is required when not using --connect")
     | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
     let n = Digraph.n graph in
     let aggregate_activity () =
       let a = Array.make n 0 in
@@ -1384,8 +1426,8 @@ let stream_cmd =
     | None, _ -> `Error (true, "--graph is required when not using --connect")
     | _, [] -> `Error (true, "--log is required when not using --connect")
     | Some graph_path, log_paths ->
-      let graph = Graph_io.load graph_path in
-      let logs = Array.of_list (List.map Log_io.load log_paths) in
+      let* graph = load_graph graph_path in
+      let* logs = load_logs log_paths in
       if Array.length logs < 2 then `Error (true, "need at least two --log providers")
       else begin
         let m = Array.length logs in
@@ -1557,8 +1599,8 @@ let campaign_cmd =
       & info [ "samples" ] ~docv:"S" ~doc:"Monte-Carlo cascade samples per evaluation.")
   in
   let run seed graph_path log_paths h k samples =
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
     let s = State.create ~seed () in
     let r = Driver.link_strengths_exclusive s ~graph ~logs (Protocol4.default_config ~h) in
     let model = Maximize.of_strengths graph r.Driver.strengths in
@@ -1592,18 +1634,23 @@ let privacy_cmd =
       & info [ "prior" ] ~docv:"PRIOR" ~doc:"Prior: 'uniform', 'unimodal' or 'geometric:P'.")
   in
   let run seed bound trials prior_spec =
-    let prior =
+    let* () = at_least "--trials" 1 trials in
+    let* prior =
       match prior_spec with
-      | "uniform" -> Posterior.uniform_prior ~bound
-      | "unimodal" -> Posterior.unimodal_prior ~bound
+      | "uniform" -> Ok (Posterior.uniform_prior ~bound)
+      | "unimodal" -> Ok (Posterior.unimodal_prior ~bound)
       | spec when String.length spec > 10 && String.sub spec 0 10 = "geometric:" -> (
         match float_of_string_opt (String.sub spec 10 (String.length spec - 10)) with
-        | Some p -> Posterior.geometric_prior ~bound ~p
-        | None -> failwith "bad --prior geometric:P")
-      | other -> failwith (Printf.sprintf "unknown prior %S" other)
+        | Some p -> (
+          try Ok (Posterior.geometric_prior ~bound ~p)
+          with Invalid_argument msg -> Error ("--prior: " ^ msg))
+        | None -> Error "bad --prior geometric:P")
+      | other -> Error (Printf.sprintf "--prior: unknown prior %S" other)
     in
     let s = State.create ~seed () in
-    let r = Gain.run s ~prior ~trials_per_x:trials in
+    match Gain.run s ~prior ~trials_per_x:trials with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | r ->
     Printf.printf "masking-gain experiment (Sec. 7.2): %d samples\n" (Array.length r.Gain.gains);
     Printf.printf "average gain      = %+.4f\n" r.Gain.average;
     Printf.printf "positive fraction = %.3f\n" r.Gain.positive_fraction;
@@ -1660,10 +1707,15 @@ let leakage_cmd =
     Arg.(value & opt int 20000 & info [ "trials" ] ~docv:"T" ~doc:"Monte-Carlo trials.")
   in
   let run seed modulus_bits bound x trials =
+    let* () = at_least "--trials" 1 trials in
     let modulus = 1 lsl modulus_bits in
-    let t = Leakage.theoretical ~modulus ~input_bound:bound ~x in
-    let s = State.create ~seed () in
-    let o = Leakage.monte_carlo s ~modulus ~input_bound:bound ~x ~trials in
+    match
+      let t = Leakage.theoretical ~modulus ~input_bound:bound ~x in
+      let s = State.create ~seed () in
+      (t, Leakage.monte_carlo s ~modulus ~input_bound:bound ~x ~trials)
+    with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | t, o ->
     let rate hits = float_of_int hits /. float_of_int trials in
     Printf.printf "Protocol 2 leak rates at S = 2^%d, A = %d, x = %d (%d trials):\n"
       modulus_bits bound x trials;
@@ -1688,10 +1740,13 @@ let em_cmd =
     Arg.(value & opt int 100 & info [ "iterations" ] ~docv:"I" ~doc:"Maximum EM iterations.")
   in
   let run graph_path log_paths h iterations top =
-    let graph = Graph_io.load graph_path in
-    let logs = List.map Log_io.load log_paths in
-    let log = Partition.reunify (Array.of_list logs) in
-    let result = Spe_influence.Em.learn log graph ~h ~max_iterations:iterations in
+    let* () = at_least "--iterations" 1 iterations in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
+    let log = Partition.reunify logs in
+    match Spe_influence.Em.learn log graph ~h ~max_iterations:iterations with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | result ->
     let strengths = Spe_influence.Em.to_strengths result graph in
     let sorted = List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) strengths in
     Printf.printf "EM baseline (Saito et al.), %d iterations, final log-likelihood %.2f\n"
@@ -1716,7 +1771,7 @@ let em_cmd =
 
 let metrics_cmd =
   let run graph_path =
-    let g = Graph_io.load graph_path in
+    let* g = load_graph graph_path in
     let module Metrics = Spe_graph.Metrics in
     Printf.printf "nodes              %d\n" (Digraph.n g);
     Printf.printf "arcs               %d\n" (Digraph.edge_count g);
@@ -1737,8 +1792,8 @@ let metrics_cmd =
 
 let verify_cmd =
   let run seed graph_path log_paths h =
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
+    let* graph = load_graph graph_path in
+    let* logs = load_logs log_paths in
     let s = State.create ~seed () in
     let r = Driver.link_strengths_exclusive s ~graph ~logs (Protocol4.default_config ~h) in
     (* The plaintext reference on the unified log the protocol never
@@ -1966,7 +2021,7 @@ let serve_cmd =
     Arg.(
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"N"
-          ~doc:"Concurrent pipeline jobs (worker threads at H; admission control bound).")
+          ~doc:"Concurrent pipeline jobs in flight at H (admission control bound).")
   in
   let max_queue_arg =
     Arg.(
@@ -1986,7 +2041,6 @@ let serve_cmd =
              spe scrape and OBSERVABILITY.md.")
   in
   let run party roster listen max_sessions max_queue metrics_addr graph_path log_paths =
-    let ( let* ) r f = match r with Error msg -> `Error (true, msg) | Ok v -> f v in
     let* () = if max_sessions < 1 then Error "--max-sessions must be at least 1" else Ok () in
     let* () = if max_queue < 1 then Error "--max-queue must be at least 1" else Ok () in
     let* party = Serve_addr.party_of_string party in
@@ -2015,8 +2069,8 @@ let serve_cmd =
              deterministic)"
             (Array.length roster - 1) (List.length log_paths) )
     else begin
-      let graph = Graph_io.load graph_path in
-      let logs = Array.of_list (List.map Log_io.load log_paths) in
+      let* graph = load_graph graph_path in
+      let* logs = load_logs log_paths in
       let config =
         {
           (Serve_daemon.default_config ~party ~roster) with

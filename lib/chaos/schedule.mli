@@ -6,8 +6,8 @@
     Per-frame events key on the {e n-th frame of one directed link
     within one shard session} — each sender emits its frames to a given
     link in program order, so that index is deterministic where a
-    global transmission index (racing across sender threads) would not
-    be.  {!fault_for} compiles the per-frame events into a
+    global transmission index (which depends on how the parties'
+    sends interleave) would not be.  {!fault_for} compiles the per-frame events into a
     {!Spe_net.Fault} policy for one session; worker kills and timeout
     skew are applied by the harness itself.
 
@@ -57,7 +57,7 @@ type t = {
   pipeline : pipeline;
   engine : engine;
   shards : int;  (** The plan cut passed to [Spe_core.Shard]. *)
-  workers : int;  (** Pool worker threads per stage. *)
+  workers : int;  (** Shard sessions in flight per stage. *)
   workload : workload;
   events : event list;
 }

@@ -4,50 +4,33 @@
    layer registers one writer per peer daemon and feeds every inbound
    session-tagged frame to [deliver]; [open_session] then hands an
    ordinary [Transport.t] for one seat of one session to
-   [Endpoint.run_party], so the whole barrier/Nack/timeout machinery
-   runs unchanged over connections that outlive any single session.
+   [Endpoint.run_party_async], so the whole barrier/Nack/timeout
+   machinery runs unchanged over connections that outlive any single
+   session.
 
    Concurrency: the registry lock only guards the tables — it is never
-   held across a socket write or a mailbox pop, so readers, writers and
-   endpoint threads cannot deadlock through the mux. *)
+   held across a socket write or a notify hook, so reader threads,
+   writers and the daemon's loop cannot deadlock through the mux. *)
 
 module Mailbox = struct
-  (* A private copy of the transport mailbox discipline — parked
-     condition-variable-style wait plus the try_recv/notify readiness
-     interface (see Transport.Mailbox) — with one difference: a closed
-     mux mailbox drains its remaining frames before raising [Closed],
-     because a session seat may still complete from frames that
-     arrived before its peer's connection died. *)
+  (* A session's inbound queue with the same try_recv/notify readiness
+     interface as the group transports' inboxes, plus a lock: daemon
+     reader threads push from outside the loop that pops.  A closed mailbox drains its
+     remaining frames before raising [Closed], because a session seat
+     may still complete from frames that arrived before its peer's
+     connection died. *)
   type t = {
     lock : Mutex.t;
     frames : bytes Queue.t;
     mutable closed : bool;
-    mutable waiting : bool;
-    mutable wake : (Unix.file_descr * Unix.file_descr) option;
     mutable notify : (unit -> unit) option;
   }
 
-  let create () =
-    {
-      lock = Mutex.create ();
-      frames = Queue.create ();
-      closed = false;
-      waiting = false;
-      wake = None;
-      notify = None;
-    }
+  let create () = { lock = Mutex.create (); frames = Queue.create (); closed = false; notify = None }
 
   let with_lock mb f =
     Mutex.lock mb.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock mb.lock) f
-
-  let wake_byte = Bytes.make 1 '!'
-
-  let signal_locked mb =
-    if mb.waiting then
-      match mb.wake with
-      | Some (_, w) -> ( try ignore (Unix.write w wake_byte 0 1) with Unix.Unix_error _ -> ())
-      | None -> ()
 
   let run_notify mb =
     match with_lock mb (fun () -> mb.notify) with Some f -> f () | None -> ()
@@ -55,11 +38,7 @@ module Mailbox = struct
   let set_notify mb f = with_lock mb (fun () -> mb.notify <- Some f)
 
   let push mb body =
-    with_lock mb (fun () ->
-        if not mb.closed then begin
-          Queue.push body mb.frames;
-          signal_locked mb
-        end);
+    with_lock mb (fun () -> if not mb.closed then Queue.push body mb.frames);
     run_notify mb
 
   let try_pop mb =
@@ -67,45 +46,8 @@ module Mailbox = struct
         if mb.closed && Queue.is_empty mb.frames then raise Transport.Closed;
         Queue.take_opt mb.frames)
 
-  let rec pop mb ~deadline =
-    let next =
-      with_lock mb (fun () ->
-          if mb.closed && Queue.is_empty mb.frames then raise Transport.Closed;
-          match Queue.take_opt mb.frames with
-          | Some _ as r -> `Frame r
-          | None ->
-            let remaining = deadline -. Unix.gettimeofday () in
-            if remaining <= 0. then `Expired
-            else begin
-              (* One pipe per park, owned by this popper: created here,
-                 deregistered under the lock and closed right after the
-                 wait, so a pusher can never signal a stale descriptor
-                 and a long-lived daemon's mailboxes leak nothing. *)
-              let r, w = Unix.pipe () in
-              Unix.set_nonblock w;
-              mb.wake <- Some (r, w);
-              mb.waiting <- true;
-              `Park (r, w, remaining)
-            end)
-    in
-    match next with
-    | `Frame r -> r
-    | `Expired -> None
-    | `Park (r, w, remaining) ->
-      (match Unix.select [ r ] [] [] remaining with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      with_lock mb (fun () ->
-          mb.waiting <- false;
-          mb.wake <- None);
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      (try Unix.close w with Unix.Unix_error _ -> ());
-      pop mb ~deadline
-
   let close mb =
-    with_lock mb (fun () ->
-        mb.closed <- true;
-        signal_locked mb);
+    with_lock mb (fun () -> mb.closed <- true);
     run_notify mb
 end
 
@@ -141,7 +83,7 @@ let set_writer t ~peer writer =
   with_lock t (fun () -> Hashtbl.replace t.writers peer writer)
 
 (* The peer's connection died: any session seated with it can never
-   complete, so close those mailboxes — the endpoint threads see
+   complete, so close those mailboxes — the seats see
    [Transport.Closed] promptly instead of waiting out their round
    timeouts — and drop the writer so later sends fail fast too. *)
 let fail_peer t ~peer =
@@ -255,7 +197,6 @@ let open_session t ~sid ~peers =
       peers = m;
       send;
       send_many;
-      recv = (fun ~deadline -> Mailbox.pop entry.mailbox ~deadline);
       try_recv = (fun () -> Mailbox.try_pop entry.mailbox);
       set_notify = (fun f -> Mailbox.set_notify entry.mailbox f);
       close;

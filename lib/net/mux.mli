@@ -7,15 +7,15 @@
     values: the connection layer registers a {e writer} per peer and
     feeds every inbound [(sid, body)] pair to {!deliver};
     {!open_session} hands one seat of one session to
-    {!Endpoint.run_party}, which then runs the standard barrier / Nack
-    / timeout machinery unchanged — the rendezvous and Hello exchange
+    {!Endpoint.run_party_async}, which then runs the standard barrier /
+    Nack / timeout machinery unchanged — the rendezvous and Hello exchange
     happened once, when the mesh came up, not per session.
 
     Frames for a session the local seat has not opened yet are
     buffered; frames for a session already closed or aborted are
     dropped (late retransmits after quiescence).  When a peer's
     connection dies, {!fail_peer} closes every open session seated with
-    it, so the endpoint threads fail promptly with [Transport.Closed]
+    it, so its seats fail promptly with [Transport.Closed]
     instead of waiting out their round timeouts — the daemon turns that
     into a typed job failure. *)
 
@@ -52,8 +52,9 @@ val open_session : t -> sid:int -> peers:int array -> Transport.t * int
     where [peers.(j)] is the daemon id seated at group index [j]; the
     returned index is the local seat ([peers.(j) = self]).  Sends route
     through the per-peer writers ([Transport.Closed] if the peer's
-    writer is gone), receives pop the session mailbox, and closing the
-    transport retires the sid into the finished set.  Raises
+    writer is gone), [try_recv] pops the session mailbox (its notify
+    hook fires on the connection thread that delivered), and closing
+    the transport retires the sid into the finished set.  Raises
     [Transport.Closed] if the sid was already aborted,
     [Invalid_argument] if [self] is not seated or the sid is already
     open.  [sent_bytes] counts the inner frame bodies plus the standard

@@ -11,12 +11,12 @@
    paid once per deployment, not once per shard session.
 
    Job flow (coordinator model): clients connect to H and submit specs.
-   H owns admission — a bounded scheduler queue feeding [max_sessions]
-   workers; a full queue is refused with the typed [Busy] reply.  When
-   a worker starts a job it assigns the global job number, broadcasts
+   H owns admission — a bounded scheduler queue feeding at most
+   [max_sessions] jobs in flight; a full queue is refused with the typed
+   [Busy] reply.  When H starts a job it assigns the global job number, broadcasts
    [Job_submit] to the provider daemons, and every daemon independently
    rebuilds the identical plan from [(spec, workload)] and runs its own
-   party's seats over the mux ([Endpoint.run_party]).  H reads the
+   party's seats over the mux ([Endpoint.run_party_async]).  H reads the
    merged result from its plan closures and answers the client; on any
    failure it broadcasts [Job_cancel], aborts the job's sessions, and
    answers with a typed [Failed] reply instead — a dead peer daemon
@@ -35,7 +35,7 @@ type config = {
   party : int;  (** Daemon id: 0 = H, k = P_k. *)
   roster : Addr.t array;  (** Address by daemon id, H first. *)
   listen : Addr.t option;  (** Bind override; default [roster.(party)]. *)
-  max_sessions : int;  (** Concurrent jobs (worker threads at H). *)
+  max_sessions : int;  (** Concurrent jobs in flight at H (admission bound). *)
   max_queue : int;  (** Bounded admission queue at H. *)
   metrics_addr : Addr.t option;  (** Scrape endpoint; also enables tracing. *)
   round_timeout : float;

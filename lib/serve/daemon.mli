@@ -22,7 +22,7 @@ type config = {
   party : int;  (** Daemon id: 0 = H, k = P_k. *)
   roster : Addr.t array;  (** Address by daemon id, H first. *)
   listen : Addr.t option;  (** Bind override; default [roster.(party)]. *)
-  max_sessions : int;  (** Concurrent jobs (worker threads at H). *)
+  max_sessions : int;  (** Concurrent jobs in flight at H (admission bound). *)
   max_queue : int;  (** Bounded admission queue at H. *)
   metrics_addr : Addr.t option;  (** Scrape endpoint; also enables tracing. *)
   round_timeout : float;

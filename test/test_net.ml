@@ -275,38 +275,137 @@ let qcheck_reactor_tests =
 
 (* --- transports ------------------------------------------------------------- *)
 
+(* Run [reactor] until [cond] holds, failing the test after [timeout]
+   seconds; a sentinel timer makes sure the loop wakes to look. *)
+let run_until ?(timeout = 2.) reactor cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let sentinel = Reactor.at reactor deadline ignore in
+  Reactor.run reactor ~until:(fun () -> cond () || Unix.gettimeofday () >= deadline);
+  Reactor.cancel reactor sentinel;
+  if not (cond ()) then Alcotest.fail "reactor did not reach the expected state"
+
+let with_reactor f =
+  let reactor = Reactor.create () in
+  Fun.protect ~finally:(fun () -> Reactor.destroy reactor) (fun () -> f reactor)
+
+let recv_string (t : Transport.t) = Option.map Bytes.to_string (t.Transport.try_recv ())
+let framed s = Frame.length_prefix_bytes + String.length s
+
 let test_memory_transport_delivers () =
-  let group = Transport.Memory.create_group ~m:2 () in
-  let a = group.(0) and b = group.(1) in
-  a.Transport.send 1 (Bytes.of_string "one");
-  a.Transport.send 1 (Bytes.of_string "two");
-  let deadline = Unix.gettimeofday () +. 1. in
-  Alcotest.(check (option string)) "fifo 1" (Some "one")
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline));
-  Alcotest.(check (option string)) "fifo 2" (Some "two")
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline));
-  Alcotest.(check (option string)) "empty queue times out" None
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline:(Unix.gettimeofday () +. 0.01)));
-  Alcotest.(check int) "framed bytes counted" (2 * (Frame.length_prefix_bytes + 3))
-    (a.Transport.sent_bytes ());
-  a.Transport.close ();
-  Alcotest.check_raises "send after close" Transport.Closed (fun () ->
-      b.Transport.send 0 (Bytes.of_string "x"));
-  Alcotest.check_raises "recv after close" Transport.Closed (fun () ->
-      ignore (a.Transport.recv ~deadline))
+  with_reactor (fun reactor ->
+      let group = Transport.Memory.reactor_group ~reactor ~m:2 () in
+      let a = group.(0) and b = group.(1) in
+      let wakes = ref 0 in
+      b.Transport.set_notify (fun () -> incr wakes);
+      a.Transport.send 1 (Bytes.of_string "one");
+      a.Transport.send 1 (Bytes.of_string "two");
+      Alcotest.(check int) "one notify per delivery" 2 !wakes;
+      Alcotest.(check (option string)) "fifo 1" (Some "one") (recv_string b);
+      Alcotest.(check (option string)) "fifo 2" (Some "two") (recv_string b);
+      Alcotest.(check (option string)) "empty queue" None (recv_string b);
+      Alcotest.(check (option string)) "nothing addressed to the sender" None (recv_string a);
+      Alcotest.(check int) "framed bytes counted" (framed "one" + framed "two")
+        (a.Transport.sent_bytes ());
+      a.Transport.close ();
+      Alcotest.(check int) "close notifies" 3 !wakes;
+      Alcotest.check_raises "send after close" Transport.Closed (fun () ->
+          b.Transport.send 0 (Bytes.of_string "x"));
+      Alcotest.check_raises "recv after close" Transport.Closed (fun () ->
+          ignore (a.Transport.try_recv ())))
+
+(* Every fault is charged before it is decided: a dropped or delayed
+   frame costs its framed bytes once, a duplicated one twice, and the
+   delayed frame arrives later on a reactor timer. *)
+let test_memory_transport_fault_accounting () =
+  with_reactor (fun reactor ->
+      let fault =
+        let n = ref 0 in
+        Fault.make (fun ~src:_ ~dst:_ ->
+            let i = !n in
+            incr n;
+            match i with
+            | 0 -> Fault.Drop
+            | 1 -> Fault.Delay 0.05
+            | 2 -> Fault.Duplicate
+            | _ -> Fault.Deliver)
+      in
+      let trace = Spe_obs.Trace.create () in
+      let group = Transport.Memory.reactor_group ~fault ~trace ~reactor ~m:2 () in
+      let a = group.(0) and b = group.(1) in
+      let wakes = ref 0 in
+      b.Transport.set_notify (fun () -> incr wakes);
+      let frames = [ "lost"; "late"; "twice"; "plain" ] in
+      a.Transport.send_many 1 (List.map Bytes.of_string frames);
+      let charged = framed "lost" + framed "late" + (2 * framed "twice") + framed "plain" in
+      Alcotest.(check int) "charged before the decision, duplicate twice" charged
+        (a.Transport.sent_bytes ());
+      Alcotest.(check int) "one notify for the burst" 1 !wakes;
+      Alcotest.(check (list (option string))) "delivered now"
+        [ Some "twice"; Some "twice"; Some "plain"; None ]
+        (List.init 4 (fun _ -> recv_string b));
+      run_until reactor (fun () -> !wakes = 2);
+      Alcotest.(check (option string)) "delayed frame arrives on the timer" (Some "late")
+        (recv_string b);
+      let total counter =
+        List.fold_left
+          (fun acc -> function
+            | Spe_obs.Trace.Count { counter = c; delta; _ } when c = counter -> acc + delta
+            | _ -> acc)
+          0 (Spe_obs.Trace.events trace)
+      in
+      Alcotest.(check int) "trace transport bytes" charged
+        (total Spe_obs.Trace.Transport_bytes);
+      Alcotest.(check int) "one drop" 1 (total Spe_obs.Trace.Faults_dropped);
+      Alcotest.(check int) "one delay" 1 (total Spe_obs.Trace.Faults_delayed);
+      (* A frame still held when the group closes is swallowed. *)
+      let held = Fault.make (fun ~src:_ ~dst:_ -> Fault.Delay 0.01) in
+      let group = Transport.Memory.reactor_group ~fault:held ~reactor ~m:2 () in
+      group.(0).Transport.send 1 (Bytes.of_string "orphan");
+      group.(0).Transport.close ();
+      let fired = ref false in
+      ignore (Reactor.at reactor (Unix.gettimeofday () +. 0.03) (fun () -> fired := true));
+      run_until reactor (fun () -> !fired);
+      Alcotest.check_raises "closed group stays closed" Transport.Closed (fun () ->
+          ignore (group.(1).Transport.try_recv ())))
 
 let test_socket_transport_delivers () =
-  let group =
-    Transport.Socket.create_group ~addresses:(Transport.Socket.temp_unix_addresses ~m:3) ()
-  in
-  let deadline = Unix.gettimeofday () +. 2. in
-  group.(2).Transport.send 0 (Bytes.of_string "hello-from-2");
-  group.(0).Transport.send 2 (Bytes.of_string "hello-from-0");
-  Alcotest.(check (option string)) "2 -> 0" (Some "hello-from-2")
-    (Option.map Bytes.to_string (group.(0).Transport.recv ~deadline));
-  Alcotest.(check (option string)) "0 -> 2" (Some "hello-from-0")
-    (Option.map Bytes.to_string (group.(2).Transport.recv ~deadline));
-  group.(0).Transport.close ()
+  with_reactor (fun reactor ->
+      let group =
+        Transport.Socket.reactor_group ~reactor
+          ~addresses:(Transport.Socket.temp_unix_addresses ~m:3) ()
+      in
+      (* Each endpoint's hook drains its queue as the loop delivers. *)
+      let got = Array.make 3 [] in
+      Array.iteri
+        (fun i (t : Transport.t) ->
+          t.Transport.set_notify (fun () ->
+              let rec drain () =
+                match t.Transport.try_recv () with
+                | Some body ->
+                  got.(i) <- Bytes.to_string body :: got.(i);
+                  drain ()
+                | None -> ()
+              in
+              try drain () with Transport.Closed -> ()))
+        group;
+      group.(2).Transport.send 0 (Bytes.of_string "hello-from-2");
+      group.(0).Transport.send 2 (Bytes.of_string "first-from-0");
+      group.(0).Transport.send 2 (Bytes.of_string "second-from-0");
+      run_until reactor (fun () -> List.length got.(0) = 1 && List.length got.(2) = 2);
+      Alcotest.(check (list string)) "2 -> 0" [ "hello-from-2" ] got.(0);
+      Alcotest.(check (list string)) "0 -> 2 in fifo order" [ "first-from-0"; "second-from-0" ]
+        (List.rev got.(2));
+      Alcotest.(check (list string)) "nothing addressed to 1" [] got.(1);
+      Alcotest.(check (option string)) "empty queue" None (recv_string group.(1));
+      (* Endpoint 0 dials nobody, so its counter holds only its frames. *)
+      Alcotest.(check int) "framed bytes counted"
+        (framed "first-from-0" + framed "second-from-0")
+        (group.(0).Transport.sent_bytes ());
+      group.(0).Transport.close ();
+      Alcotest.check_raises "send after close" Transport.Closed (fun () ->
+          group.(1).Transport.send 2 (Bytes.of_string "x"));
+      Alcotest.check_raises "recv after close" Transport.Closed (fun () ->
+          ignore (group.(2).Transport.try_recv ())))
 
 (* A length prefix with the sign bit set is a corrupt stream: every
    reader closes the connection with [Closed] instead of handing the
@@ -900,12 +999,13 @@ let test_sharded_scores_pool_cross_engine () =
       check_plan_accounting label plan groups ~payload_ref)
     session_engines
 
-(* Regression pinning the two execution engines to each other across
-   shard counts: the reactor pool (run_sessions_socket — machines on
-   one poll loop) and the blocking thread pool (run_sessions_memory —
-   the differential oracle it must never drift from) must produce
-   bit-identical links and scores results at k ∈ {1, 2, 4, 8}. *)
-let test_reactor_vs_blocking_k_sweep () =
+(* Regression pinning the two transport engines to each other and to
+   the simulated-wire oracle across shard counts: the memory pool
+   (run_sessions_memory — machines on one loop over in-process queues),
+   the socket pool (run_sessions_socket — the same machines over
+   socketpairs) and Session.run must produce bit-identical links and
+   scores results at k ∈ {1, 2, 4, 8}. *)
+let test_memory_socket_session_k_sweep () =
   let seed = 229 and n = 20 and edges = 55 and actions = 8 and m = 3 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let links_config = Protocol4.default_config ~h:2 in
@@ -929,28 +1029,27 @@ let test_reactor_vs_blocking_k_sweep () =
         Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards
           links_config
       in
-      let reactor_links, _ = run_plan_over `Socket ~workers:2 (links_plan ()) in
-      let blocking_links, _ = run_plan_over `Memory ~workers:2 (links_plan ()) in
+      let socket_links, _ = run_plan_over `Socket ~workers:2 (links_plan ()) in
+      let memory_links, _ = run_plan_over `Memory ~workers:2 (links_plan ()) in
       Alcotest.(check bool)
-        (Printf.sprintf "links k=%d: reactor = blocking oracle = sim" shards)
+        (Printf.sprintf "links k=%d: memory = socket = Session.run" shards)
         true
-        (reactor_links.Protocol4.strengths = blocking_links.Protocol4.strengths
-        && reactor_links.Protocol4.strengths = links_sim.Protocol4.strengths
-        && reactor_links.Protocol4.pair_estimates = links_sim.Protocol4.pair_estimates
-        && reactor_links.Protocol4.pairs = links_sim.Protocol4.pairs);
+        (memory_links.Protocol4.strengths = socket_links.Protocol4.strengths
+        && socket_links.Protocol4.strengths = links_sim.Protocol4.strengths
+        && socket_links.Protocol4.pair_estimates = links_sim.Protocol4.pair_estimates
+        && socket_links.Protocol4.pairs = links_sim.Protocol4.pairs);
       let scores_plan () =
         Shard.user_scores_exclusive (State.create ~seed:(seed + 2) ()) ~graph:g ~logs
           ~tau ~modulus ~shards scores_config
       in
-      let reactor_scores, _ = run_plan_over `Socket ~workers:2 (scores_plan ()) in
-      let blocking_scores, _ = run_plan_over `Memory ~workers:2 (scores_plan ()) in
+      let socket_scores, _ = run_plan_over `Socket ~workers:2 (scores_plan ()) in
+      let memory_scores, _ = run_plan_over `Memory ~workers:2 (scores_plan ()) in
       Alcotest.(check bool)
-        (Printf.sprintf "scores k=%d: reactor = blocking oracle = sim" shards)
+        (Printf.sprintf "scores k=%d: memory = socket = Session.run" shards)
         true
-        (reactor_scores.Driver_distributed.scores
-         = blocking_scores.Driver_distributed.scores
-        && reactor_scores.Driver_distributed.scores = scores_sim.Driver_distributed.scores
-        && reactor_scores.Driver_distributed.graphs = scores_sim.Driver_distributed.graphs))
+        (memory_scores.Driver_distributed.scores = socket_scores.Driver_distributed.scores
+        && socket_scores.Driver_distributed.scores = scores_sim.Driver_distributed.scores
+        && socket_scores.Driver_distributed.graphs = scores_sim.Driver_distributed.graphs))
     [ 1; 2; 4; 8 ]
 
 (* A shard whose group stops delivering must fail the stage naming the
@@ -1049,6 +1148,8 @@ let () =
       ( "transport",
         [
           Alcotest.test_case "memory delivery" `Quick test_memory_transport_delivers;
+          Alcotest.test_case "memory fault accounting" `Quick
+            test_memory_transport_fault_accounting;
           Alcotest.test_case "socket delivery" `Quick test_socket_transport_delivers;
           Alcotest.test_case "negative length prefix closes" `Quick
             test_negative_length_prefix_closes;
@@ -1099,8 +1200,8 @@ let () =
             test_sharded_links_non_exclusive_pool_cross_engine;
           Alcotest.test_case "sharded scores over pools" `Quick
             test_sharded_scores_pool_cross_engine;
-          Alcotest.test_case "reactor vs blocking oracle at k in {1,2,4,8}" `Quick
-            test_reactor_vs_blocking_k_sweep;
+          Alcotest.test_case "memory = socket = Session.run at k in {1,2,4,8}" `Quick
+            test_memory_socket_session_k_sweep;
           Alcotest.test_case "stalled shard cancels siblings" `Quick
             test_pool_stall_cancels_siblings;
         ] );
