@@ -556,13 +556,13 @@ let ablation_transport () =
 (* Bench trajectory: BENCH_protocols.json                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One spe-metrics/2 report per (pipeline, engine) — the full composed
-   pipelines from Driver_distributed, each run with a recording trace
-   and aggregated by Spe_obs.Metrics exactly like `spe ... --metrics
-   json` does.  The rows land in BENCH_protocols.json (schema
-   spe-bench/1; field docs in OBSERVABILITY.md) for the plotting
-   scripts, and the trace accounting is asserted against Net_wire /
-   the simulated wire on every row. *)
+(* One spe-metrics/2 report per (pipeline, engine) — the full
+   pipelines as Shard plans at k = 1, lowered to one session and each
+   run with a recording trace and aggregated by Spe_obs.Metrics exactly
+   like `spe ... --metrics json` does.  The rows land in
+   BENCH_protocols.json (schema spe-bench/1; field docs in
+   OBSERVABILITY.md) for the plotting scripts, and the trace accounting
+   is asserted against Net_wire / the simulated wire on every row. *)
 
 let bench_json_path = "BENCH_protocols.json"
 
@@ -570,33 +570,31 @@ let pipeline_reports () =
   let module Session = Spe_mpc.Session in
   let module Endpoint = Spe_net.Endpoint in
   let module Net_wire = Spe_net.Net_wire in
-  let module Driver_distributed = Spe_core.Driver_distributed in
+  let module Plan = Spe_core.Plan in
+  let module Shard = Spe_core.Shard in
   let s, g, log = workload ~seed:57 ~n:30 ~edges:90 ~actions:12 in
   let logs = Partition.exclusive s log ~m:3 in
   let p4_config = Protocol4.default_config ~h:2 in
   let p6_config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
+  let scores st config =
+    Session.map ignore
+      (Plan.to_session
+         (Shard.user_scores_exclusive st ~graph:g ~logs ~tau:6 ~modulus:(1 lsl 20)
+            ~shards:1 config))
+  in
   let pipelines =
     [
       ("links", fun st ->
-          Session.map ignore (Driver_distributed.links_exclusive st ~graph:g ~logs p4_config));
-      ("scores", fun st ->
           Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20) p6_config));
+            (Plan.to_session (Shard.links_exclusive st ~graph:g ~logs ~shards:1 p4_config)));
+      ("scores", fun st -> scores st p6_config);
       (* Tentpole ablations: the same scores pipeline with the crypto
          accelerations disabled (plain decrypt exponent, no fixed-base
          windows, per-call Montgomery contexts) and with plaintext
          packing at full width.  Before/after rows for PERFORMANCE.md. *)
-      ("scores-noaccel", fun st ->
-          Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20)
-               { p6_config with Protocol6.accel = false }));
+      ("scores-noaccel", fun st -> scores st { p6_config with Protocol6.accel = false });
       ("scores-packed", fun st ->
-          Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20)
-               { p6_config with Protocol6.pack_slots = Spe_mpc.Pack.max_packed_bits }));
+          scores st { p6_config with Protocol6.pack_slots = Spe_mpc.Pack.max_packed_bits });
     ]
   in
   let run_endpoint trace session runner =

@@ -92,14 +92,19 @@ let ( let* ) r f = match r with Error msg -> `Error (true, msg) | Ok v -> f v
 let at_least flag min v =
   if v < min then Error (Printf.sprintf "%s must be at least %d" flag min) else Ok ()
 
-(* Every graph and action-log file the CLI reads goes through [load],
-   so a malformed or unreadable file is a usage error naming its flag
-   and path rather than an uncaught exception. *)
+(* Every graph, action-log and spec file the CLI reads goes through
+   [load], so a malformed or unreadable file — or a path that is not a
+   regular file — is a usage error naming its flag and path rather than
+   an uncaught exception. *)
 let load ~flag read path =
-  match read path with
-  | v -> Ok v
-  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
-    Error (Printf.sprintf "%s %s: %s" flag path msg)
+  let fail msg = Error (Printf.sprintf "%s %s: %s" flag path msg) in
+  match (Unix.stat path).Unix.st_kind with
+  | exception Unix.Unix_error (err, _, _) -> fail (Unix.error_message err)
+  | Unix.S_REG -> (
+    match read path with
+    | v -> Ok v
+    | exception (Failure msg | Invalid_argument msg | Sys_error msg) -> fail msg)
+  | _ -> fail "not a regular file"
 
 let load_graph path = load ~flag:"--graph" Graph_io.load path
 
@@ -116,6 +121,16 @@ let load_logs paths =
       | Error _ as e -> e)
   in
   go [] paths
+
+(* The in-process inputs of a pipeline command: --graph and --log are
+   required unless --connect hands the work to live daemons. *)
+let load_inputs graph_path log_paths =
+  match (graph_path, log_paths) with
+  | None, _ -> Error "--graph is required when not using --connect"
+  | _, [] -> Error "--log is required when not using --connect"
+  | Some graph_path, log_paths ->
+    Result.bind (load_graph graph_path) (fun graph ->
+        Result.map (fun logs -> (graph, logs)) (load_logs log_paths))
 
 let connect_arg =
   Arg.(
@@ -297,8 +312,8 @@ let wire_summary (w : Wire.stats) =
     (float_of_int w.Wire.bits /. 8192.)
 
 (* Engine selection for the full pipelines: the central reference
-   implementation, or the composed Session on any of the three
-   engines.  All four produce identical results from the same seed. *)
+   implementation, or the pipeline's plan on any of the three engines.
+   All four produce identical results from the same seed. *)
 let pipeline_transport_arg =
   Arg.(
     value
@@ -314,43 +329,8 @@ let pipeline_transport_arg =
            statistics are engine-independent; the real transports also report measured \
            framed bytes.")
 
-(* Run a composed pipeline session on the chosen non-central engine;
-   returns the result plus the wire rebuilt from the message log, and
-   the Net_wire accounting (transport bytes + totals) for the real
-   backends. *)
-let run_pipeline_session ~trace transport session =
-  let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
-  match transport with
-  | `Sim ->
-    let w = Wire.create () in
-    let r = Session.run ~trace session ~wire:w in
-    (r, w, None)
-  | `Memory | `Socket ->
-    (* The default 2 s round timeout is tuned for loss detection; a
-       full pipeline has long compute rounds (e.g. decrypting every
-       Protocol 6 bundle under a 1024-bit key), during which a busy
-       party looks exactly like a dead one.  Local transports are
-       reliable, so wait out the compute instead of Nacking it. *)
-    let config =
-      { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-    in
-    let r, (res : Endpoint.result) =
-      match transport with
-      | `Memory -> Endpoint.run_session_memory ~config ~trace session
-      | _ -> Endpoint.run_session_socket ~config ~trace session
-    in
-    let logs =
-      Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
-    in
-    (r, Net_wire.merge logs, Some (res.Endpoint.transport_bytes, Net_wire.totals logs))
-
-(* Sharded execution: cut the pipeline into a Plan of per-shard
-   sessions (results are bit-identical for every K — DESIGN.md,
-   "Sharded execution").  On sim the plan is lowered back to one
-   session; on memory/socket each stage's sessions run concurrently on
-   the Endpoint shard pool. *)
+(* Every pipeline is a Plan of per-shard sessions (results are
+   bit-identical for every K — DESIGN.md, "Sharded execution"). *)
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -369,67 +349,99 @@ let workers_arg =
           "Shard sessions in flight per sharded stage on the memory/socket transports; \
            all of them run on one event-loop thread.")
 
-(* Run a sharded Plan on a real transport: each stage's sessions go to
-   the Endpoint shard pool, with one recording trace per shard when
-   observability was asked for.  Returns the merged result, aggregate
-   wire statistics (NR = the plan's declared rounds, NM/MS summed over
-   every shard's Net_wire log), a transcript grouped by shard, the
-   Net_wire accounting, and the per-shard trace sections for
-   Metrics.merge. *)
-let run_pipeline_plan ~trace ~workers transport (plan : _ Spe_core.Plan.t) =
+(* One pipeline run: the result, the wire statistics, the message
+   transcript, the Net_wire accounting (transport bytes + totals) on the
+   real transports, and one (label, trace, parties) section per traced
+   session for the metrics report. *)
+type 'r run = {
+  result : 'r;
+  stats : Wire.stats;
+  transcript : Wire.message list;
+  net : (int * Spe_net.Net_wire.totals) option;
+  sections : (string * Spe_obs.Trace.t * int) list;
+}
+
+(* The one in-process plan executor.  On sim the plan is lowered to a
+   single session; on memory/socket each stage's sessions go to the
+   Endpoint shard pool, one connection group and (when observability
+   was asked for) one recording trace per session.  NR is the plan's
+   declared rounds; NM/MS sum over every session's Net_wire log. *)
+let run_plan ~trace ~workers engine (plan : _ Spe_core.Plan.t) =
   let module Plan = Spe_core.Plan in
   let module Session = Spe_mpc.Session in
   let module Endpoint = Spe_net.Endpoint in
   let module Net_wire = Spe_net.Net_wire in
-  (* Same compute-friendly timeouts as the unsharded transport path. *)
-  let config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
-  let recording = Spe_obs.Trace.enabled trace in
-  let sections = ref [] and logs_rev = ref [] and transcript_rev = ref [] in
-  let transport_total = ref 0 in
-  List.iter
-    (fun (stage : Plan.stage) ->
-      let traces =
-        Array.map
-          (fun _ ->
-            if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
-          stage.Plan.sessions
-      in
-      let out =
-        match transport with
-        | `Memory ->
-          Endpoint.run_sessions_memory ~config ~workers ~traces stage.Plan.sessions
-        | `Socket ->
-          Endpoint.run_sessions_socket ~config ~workers ~traces stage.Plan.sessions
-      in
-      Array.iteri
-        (fun i ((), (res : Endpoint.result)) ->
-          transport_total := !transport_total + res.Endpoint.transport_bytes;
-          let logs =
-            Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
-          in
-          logs_rev := logs :: !logs_rev;
-          transcript_rev := Wire.messages (Net_wire.merge logs) :: !transcript_rev;
-          let parties = Array.length stage.Plan.sessions.(i).Session.parties in
-          sections :=
-            (Printf.sprintf "%s[%d]" stage.Plan.label i, traces.(i), parties) :: !sections)
-        out)
-    plan.Plan.stages;
-  let r = plan.Plan.result () in
-  let totals = Net_wire.totals (Array.concat (List.rev !logs_rev)) in
-  let stats =
+  match engine with
+  | `Sim ->
+    let session = Plan.to_session plan in
+    let w = Wire.create () in
+    let result = Session.run ~trace session ~wire:w in
+    { result; stats = Wire.stats w; transcript = Wire.messages w; net = None;
+      sections = [ ("session", trace, Array.length session.Session.parties) ] }
+  | (`Memory | `Socket) as transport ->
+    (* The default 2 s round timeout is tuned for loss detection; a
+       full pipeline has long compute rounds (e.g. decrypting every
+       Protocol 6 bundle under a 1024-bit key), during which a busy
+       party looks exactly like a dead one.  Local transports are
+       reliable, so wait out the compute instead of Nacking it. *)
+    let config =
+      { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
+    in
+    let recording = Spe_obs.Trace.enabled trace in
+    let sections = ref [] and logs_rev = ref [] and transcript_rev = ref [] in
+    let transport_total = ref 0 in
+    List.iter
+      (fun (stage : Plan.stage) ->
+        let traces =
+          Array.map
+            (fun _ ->
+              if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
+            stage.Plan.sessions
+        in
+        let out =
+          match transport with
+          | `Memory ->
+            Endpoint.run_sessions_memory ~config ~workers ~traces stage.Plan.sessions
+          | `Socket ->
+            Endpoint.run_sessions_socket ~config ~workers ~traces stage.Plan.sessions
+        in
+        Array.iteri
+          (fun i ((), (res : Endpoint.result)) ->
+            transport_total := !transport_total + res.Endpoint.transport_bytes;
+            let logs =
+              Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
+            in
+            logs_rev := logs :: !logs_rev;
+            transcript_rev := Wire.messages (Net_wire.merge logs) :: !transcript_rev;
+            let parties = Array.length stage.Plan.sessions.(i).Session.parties in
+            sections :=
+              (Printf.sprintf "%s[%d]" stage.Plan.label i, traces.(i), parties) :: !sections)
+          out)
+      plan.Plan.stages;
+    let result = plan.Plan.result () in
+    let totals = Net_wire.totals (Array.concat (List.rev !logs_rev)) in
     {
-      Wire.rounds = Plan.total_rounds plan;
-      messages = totals.Net_wire.messages;
-      bits = 8 * totals.Net_wire.payload_bytes;
+      result;
+      stats =
+        {
+          Wire.rounds = Plan.total_rounds plan;
+          messages = totals.Net_wire.messages;
+          bits = 8 * totals.Net_wire.payload_bytes;
+        };
+      transcript = List.concat (List.rev !transcript_rev);
+      net = Some (!transport_total, totals);
+      sections = List.rev !sections;
     }
-  in
-  ( r,
-    stats,
-    List.concat (List.rev !transcript_rev),
-    Some (!transport_total, totals),
-    List.rev !sections )
+
+(* A links or scores pipeline on the chosen engine: [central ()] runs
+   the reference driver (result, wire, transcript), [plan ()] builds the
+   pipeline's plan for {!run_plan}. *)
+let run_pipeline ~trace ~workers ~parties transport ~central ~plan =
+  match transport with
+  | `Central ->
+    let result, stats, transcript = central () in
+    { result; stats; transcript; net = None; sections = [ ("central", trace, parties) ] }
+  | (`Sim | `Memory | `Socket) as engine -> run_plan ~trace ~workers engine (plan ())
 
 let transport_bytes_summary (stats : Wire.stats) = function
   | None -> ()
@@ -437,7 +449,7 @@ let transport_bytes_summary (stats : Wire.stats) = function
     Printf.printf "transport: %d framed bytes on the wire (%.3fx the payload)\n" bytes
       (float_of_int bytes /. (float_of_int stats.Wire.bits /. 8.))
 
-(* --- observability plumbing (shared by links, scores and shares) ------ *)
+(* --- observability plumbing (shared by links, scores, rank and shares) - *)
 
 let trace_file_arg =
   Arg.(
@@ -464,90 +476,75 @@ let obs_trace trace_file metrics =
   if trace_file <> None || metrics <> None then Spe_obs.Trace.create ()
   else Spe_obs.Trace.disabled ()
 
-(* After the run: cross-check a report against the independent wire
-   accounting (NM and MS/8 must agree exactly; on a real transport the
-   framed bytes must match Net_wire too), then emit what was asked
-   for.  The metrics report goes last so `--metrics json` ends stdout
-   with one clean JSON document. *)
-let check_and_emit_report report ~messages ~payload_bytes ~net ~dump trace_file metrics =
-  let module Metrics = Spe_obs.Metrics in
-  if not (Metrics.equal_accounting report ~messages ~payload_bytes) then
-    failwith
-      (Printf.sprintf
-         "trace accounting mismatch: observed %d messages / %d payload bytes, wire \
-          accounted %d / %d"
-         report.Metrics.messages report.Metrics.payload_bytes messages payload_bytes);
-  (match net with
-  | None -> ()
-  | Some (_, (totals : Spe_net.Net_wire.totals)) -> (
-    match report.Metrics.framed_bytes with
-    | Some framed when framed = totals.Spe_net.Net_wire.framed_bytes -> ()
-    | Some framed ->
-      failwith
-        (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d"
-           framed totals.Spe_net.Net_wire.framed_bytes)
-    | None -> failwith "trace recorded no framed bytes on a real transport"));
-  (match trace_file with
-  | None -> ()
-  | Some path ->
-    let text, events = dump () in
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "wrote %s (%d events)\n" path events);
-  match metrics with
-  | None -> ()
-  | Some `Text -> print_string (Spe_obs.Obs_io.report_to_text report)
-  | Some `Json -> print_string (Spe_obs.Obs_io.report_to_string report)
-
-let emit_observability trace ~protocol ~engine ~parties ~messages ~payload_bytes ~net
-    trace_file metrics =
-  if Spe_obs.Trace.enabled trace then begin
-    let report = Spe_obs.Metrics.of_trace ~protocol ~engine ~parties trace in
-    check_and_emit_report report ~messages ~payload_bytes ~net
-      ~dump:(fun () ->
-        (Spe_obs.Obs_io.trace_to_text trace, List.length (Spe_obs.Trace.events trace)))
-      trace_file metrics
-  end
-
-(* Sharded transport runs record one trace per shard session; merge
-   their reports (Metrics.merge, so --metrics shows the per-shard
-   table) and dump the traces one labelled section at a time. *)
-let emit_sharded_observability ~protocol ~engine ~messages ~payload_bytes ~net sections
-    trace_file metrics =
-  match sections with
-  | (_, first, _) :: _ when Spe_obs.Trace.enabled first ->
-    let module Metrics = Spe_obs.Metrics in
-    let report =
-      Metrics.merge
-        (List.map
-           (fun (_, tr, parties) -> Metrics.of_trace ~protocol ~engine ~parties tr)
-           sections)
-    in
-    check_and_emit_report report ~messages ~payload_bytes ~net
-      ~dump:(fun () ->
-        let buf = Buffer.create 4096 in
-        let events = ref 0 in
-        List.iter
-          (fun (label, tr, _) ->
-            events := !events + List.length (Spe_obs.Trace.events tr);
-            Buffer.add_string buf (Printf.sprintf "=== %s ===\n" label);
-            Buffer.add_string buf (Spe_obs.Obs_io.trace_to_text tr))
-          sections;
-        (Buffer.contents buf, !events))
-      trace_file metrics
-  | _ -> ()
-
 let engine_name = function
   | `Central -> "central"
   | `Sim -> "sim"
   | `Memory -> "memory"
   | `Socket -> "socket"
 
-(* The central wire charges exact bit counts; the trace replay rounds
-   each message up to whole bytes, so the cross-check must too. *)
-let transcript_payload_bytes transcript =
-  List.fold_left (fun acc (m : Wire.message) -> acc + ((m.Wire.bits + 7) / 8)) 0 transcript
+(* After the run: build the report (several sections — a plan's
+   sessions on a transport engine — merge with Metrics.merge, so
+   --metrics shows the per-shard table), cross-check it against the
+   independent wire accounting (NM and MS/8 must agree exactly; on a
+   real transport the framed bytes must match Net_wire too), then emit
+   what was asked for.  The central wire charges exact bit counts and
+   the trace replay rounds each message up to whole bytes, so MS/8 is
+   taken from the transcript the same way.  The metrics report goes
+   last so `--metrics json` ends stdout with one clean JSON document. *)
+let emit_observability ~protocol ~engine run trace_file metrics =
+  let module Metrics = Spe_obs.Metrics in
+  match run.sections with
+  | (_, first, _) :: _ when Spe_obs.Trace.enabled first ->
+    let report =
+      match
+        List.map
+          (fun (_, tr, parties) -> Metrics.of_trace ~protocol ~engine ~parties tr)
+          run.sections
+      with
+      | [ report ] -> report
+      | reports -> Metrics.merge reports
+    in
+    let messages = run.stats.Wire.messages in
+    let payload_bytes =
+      List.fold_left (fun acc (m : Wire.message) -> acc + ((m.Wire.bits + 7) / 8)) 0
+        run.transcript
+    in
+    if not (Metrics.equal_accounting report ~messages ~payload_bytes) then
+      failwith
+        (Printf.sprintf
+           "trace accounting mismatch: observed %d messages / %d payload bytes, wire \
+            accounted %d / %d"
+           report.Metrics.messages report.Metrics.payload_bytes messages payload_bytes);
+    (match run.net with
+    | None -> ()
+    | Some (_, (totals : Spe_net.Net_wire.totals)) -> (
+      match report.Metrics.framed_bytes with
+      | Some framed when framed = totals.Spe_net.Net_wire.framed_bytes -> ()
+      | Some framed ->
+        failwith
+          (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d"
+             framed totals.Spe_net.Net_wire.framed_bytes)
+      | None -> failwith "trace recorded no framed bytes on a real transport"));
+    (match trace_file with
+    | None -> ()
+    | Some path ->
+      (* One section is dumped as is; several one labelled section at a time. *)
+      let oc = open_out path in
+      let events = ref 0 in
+      List.iter
+        (fun (label, tr, _) ->
+          events := !events + List.length (Spe_obs.Trace.events tr);
+          if List.compare_length_with run.sections 1 > 0 then
+            Printf.fprintf oc "=== %s ===\n" label;
+          output_string oc (Spe_obs.Obs_io.trace_to_text tr))
+        run.sections;
+      close_out oc;
+      Printf.printf "wrote %s (%d events)\n" path !events);
+    (match metrics with
+    | None -> ()
+    | Some `Text -> print_string (Spe_obs.Obs_io.report_to_text report)
+    | Some `Json -> print_string (Spe_obs.Obs_io.report_to_string report))
+  | _ -> ()
 
 (* --- spe generate ------------------------------------------------------ *)
 
@@ -647,10 +644,24 @@ let generate_cmd =
         Printf.printf "wrote %s (%d records)\n" path (Log.size part))
       parts
   in
+  (* Each graph family's precondition, phrased in the flags that set it. *)
+  let graph_fits ~users ~density = function
+    | `Ba when density < 1 -> Error "--density must be at least 1 for --model ba"
+    | `Ba when users <= density ->
+      Error (Printf.sprintf "--users must exceed --density (%d) for --model ba" density)
+    | `Er when density < 0 || density > users - 1 ->
+      Error (Printf.sprintf "--density must lie in [0, %d] (--users - 1) for --model er" (users - 1))
+    | `Ws when users <= max 2 (density + (density mod 2)) ->
+      Error
+        (Printf.sprintf "--users must exceed the ring degree %d (--density, made even) for --model ws"
+           (max 2 (density + (density mod 2))))
+    | _ -> Ok ()
+  in
   let run seed users model density actions providers probability out_dir classes =
     let* () = at_least "--users" 1 users in
     let* () = at_least "--actions" 1 actions in
     let* () = at_least "--providers" 1 providers in
+    let* () = graph_fits ~users ~density model in
     match ensure_dir out_dir with
     | Error msg -> `Error (true, "--out: " ^ msg)
     | Ok () -> (
@@ -728,6 +739,22 @@ let links_cmd =
     with
     | Some msg -> `Error (true, msg)
     | None ->
+    (* What the user sees of the strengths, from a daemon or in-process. *)
+    let release public_graph strengths =
+      print_strengths ~top strengths;
+      (match out with
+      | None -> ()
+      | Some path ->
+        Spe_influence.Result_io.save_strengths strengths path;
+        Printf.printf "wrote %s\n" path);
+      match dp_epsilon with
+      | None -> ()
+      | Some epsilon ->
+        emit_dp_strengths
+          ~params:(dp_params ~seed ~dp_sensitivity epsilon)
+          ~public:(dp_arc_public ~dp_public_degree public_graph)
+          strengths
+    in
     match connect with
     | Some addr_spec ->
       if decay <> None || spec_path <> None then
@@ -752,122 +779,65 @@ let links_cmd =
             modulus_bits;
           }
           ~print:(function
-            | Serve_proto.Strengths strengths ->
-              print_strengths ~top strengths;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_strengths strengths path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_strengths
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_arc_public ~dp_public_degree public_graph)
-                  strengths)
+            | Serve_proto.Strengths strengths -> release public_graph strengths
             | _ -> ())
     | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let* graph = load_graph graph_path in
-    let* logs = load_logs log_paths in
-    let estimator =
+    let* graph, logs = load_inputs graph_path log_paths in
+    let* estimator =
       match decay with
-      | None -> Protocol4.Eq1
-      | Some "linear" -> Protocol4.Eq2 (Link_strength.linear_decay_weights ~h)
+      | None -> Ok Protocol4.Eq1
+      | Some "linear" -> Ok (Protocol4.Eq2 (Link_strength.linear_decay_weights ~h))
       | Some spec when String.length spec > 4 && String.sub spec 0 4 = "exp:" -> (
         match float_of_string_opt (String.sub spec 4 (String.length spec - 4)) with
-        | Some alpha -> Protocol4.Eq2 (Link_strength.exponential_decay_weights ~h ~alpha)
-        | None -> failwith "bad --decay exp:ALPHA")
-      | Some other -> failwith (Printf.sprintf "unknown decay %S" other)
+        | Some alpha when alpha > 0. && alpha < 1. ->
+          Ok (Protocol4.Eq2 (Link_strength.exponential_decay_weights ~h ~alpha))
+        | _ -> Error (Printf.sprintf "--decay %s: ALPHA must be a number in (0, 1)" spec))
+      | Some other -> Error (Printf.sprintf "--decay: unknown decay %S" other)
     in
     let config =
       { Protocol4.c_factor; modulus = 1 lsl modulus_bits; h; estimator }
     in
-    let spec = Option.map Spe_actionlog.Spec_io.load spec_path in
+    let* spec =
+      match spec_path with
+      | None -> Ok None
+      | Some path -> Result.map Option.some (load ~flag:"--spec" Spe_actionlog.Spec_io.load path)
+    in
     let s = State.create ~seed () in
     let trace = obs_trace trace_file metrics in
-    let protocol = match spec with None -> "links" | Some _ -> "links-nonexcl" in
-    let strengths, stats, transcript, net, parties, payload_bytes, sections =
-      match transport with
-      | `Central ->
-        let r =
-          match spec with
-          | None -> Driver.link_strengths_exclusive ~trace s ~graph ~logs config
-          | Some spec ->
-            Driver.link_strengths_non_exclusive ~trace s ~graph ~logs ~spec ~obfuscation
-              config
-        in
-        ( r.Driver.strengths, r.Driver.wire, r.Driver.transcript, None,
-          Array.length logs + 1, transcript_payload_bytes r.Driver.transcript, None )
-      | (`Sim | `Memory | `Socket) as transport when shards = 1 ->
-        let session =
-          match spec with
-          | None -> Spe_core.Driver_distributed.links_exclusive s ~graph ~logs config
-          | Some spec ->
-            Spe_core.Driver_distributed.links_non_exclusive s ~graph ~logs ~spec
-              ~obfuscation config
-        in
-        let r, w, net = run_pipeline_session ~trace transport session in
-        let stats = Wire.stats w in
-        ( r.Protocol4.strengths, stats, Wire.messages w, net,
-          Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-      | (`Sim | `Memory | `Socket) as transport -> (
-        let plan =
-          match spec with
-          | None -> Spe_core.Shard.links_exclusive s ~graph ~logs ~shards config
-          | Some spec ->
-            Spe_core.Shard.links_non_exclusive s ~graph ~logs ~spec ~obfuscation ~shards
-              config
-        in
-        match transport with
-        | `Sim ->
-          let session = Spe_core.Plan.to_session plan in
-          let r, w, net = run_pipeline_session ~trace `Sim session in
-          let stats = Wire.stats w in
-          ( r.Protocol4.strengths, stats, Wire.messages w, net,
-            Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-        | (`Memory | `Socket) as transport ->
-          let r, stats, transcript, net, sections =
-            run_pipeline_plan ~trace ~workers transport plan
+    let run =
+      run_pipeline ~trace ~workers ~parties:(Array.length logs + 1) transport
+        ~central:(fun () ->
+          let r =
+            match spec with
+            | None -> Driver.link_strengths_exclusive ~trace s ~graph ~logs config
+            | Some spec ->
+              Driver.link_strengths_non_exclusive ~trace s ~graph ~logs ~spec ~obfuscation
+                config
           in
-          ( r.Protocol4.strengths, stats, transcript, net, Array.length logs + 1,
-            stats.Wire.bits / 8, Some sections ))
+          (r.Driver.strengths, r.Driver.wire, r.Driver.transcript))
+        ~plan:(fun () ->
+          Spe_core.Plan.map
+            (fun r -> r.Protocol4.strengths)
+            (match spec with
+            | None -> Spe_core.Shard.links_exclusive s ~graph ~logs ~shards config
+            | Some spec ->
+              Spe_core.Shard.links_non_exclusive s ~graph ~logs ~spec ~obfuscation ~shards
+                config))
     in
-    print_strengths ~top strengths;
-    (match out with
-    | None -> ()
-    | Some path ->
-      Spe_influence.Result_io.save_strengths strengths path;
-      Printf.printf "wrote %s\n" path);
-    (match dp_epsilon with
-    | None -> ()
-    | Some epsilon ->
-      emit_dp_strengths
-        ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-        ~public:(dp_arc_public ~dp_public_degree (Some graph))
-        strengths);
-    wire_summary stats;
-    transport_bytes_summary stats net;
+    release (Some graph) run.result;
+    wire_summary run.stats;
+    transport_bytes_summary run.stats run.net;
     if show_transcript then begin
       Printf.printf "\ntranscript:\n";
       List.iter
         (fun (msg : Wire.message) ->
           Format.printf "  r%-3d %a -> %a  %d bits@." msg.Wire.round Wire.pp_party
             msg.Wire.src Wire.pp_party msg.Wire.dst msg.Wire.bits)
-        transcript
+        run.transcript
     end;
-    (match sections with
-    | None ->
-      emit_observability trace ~protocol ~engine:(engine_name transport) ~parties
-        ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-    | Some sections ->
-      emit_sharded_observability ~protocol ~engine:(engine_name transport)
-        ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
+    emit_observability
+      ~protocol:(match spec with None -> "links" | Some _ -> "links-nonexcl")
+      ~engine:(engine_name transport) run trace_file metrics;
     `Ok ()
   in
   let term =
@@ -940,6 +910,21 @@ let scores_cmd =
     with
     | Some msg -> `Error (true, msg)
     | None ->
+    let release public_graph scores =
+      print_scores ~top scores;
+      (match out with
+      | None -> ()
+      | Some path ->
+        Spe_influence.Result_io.save_scores scores path;
+        Printf.printf "wrote %s\n" path);
+      match dp_epsilon with
+      | None -> ()
+      | Some epsilon ->
+        emit_dp_vector
+          ~params:(dp_params ~seed ~dp_sensitivity epsilon)
+          ~public:(dp_node_public ~dp_public_degree public_graph)
+          ~what:"user scores" scores
+    in
     match connect with
     | Some addr_spec ->
       if trace_file <> None || metrics <> None then
@@ -962,89 +947,28 @@ let scores_cmd =
             key_bits;
             pack_slots;
           }
-          ~print:(function
-            | Serve_proto.Scores scores ->
-              print_scores ~top scores;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_scores scores path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_vector
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_node_public ~dp_public_degree public_graph)
-                  ~what:"user scores" scores)
-            | _ -> ())
+          ~print:(function Serve_proto.Scores scores -> release public_graph scores | _ -> ())
     | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let* graph = load_graph graph_path in
-    let* logs = load_logs log_paths in
+    let* graph, logs = load_inputs graph_path log_paths in
     let config = { Protocol6.default_config with Protocol6.key_bits; pack_slots } in
     let modulus = 1 lsl modulus_bits in
     let s = State.create ~seed () in
     let trace = obs_trace trace_file metrics in
-    let scores, stats, net, parties, payload_bytes, sections =
-      match transport with
-      | `Central ->
-        let r = Driver.user_scores_exclusive ~trace s ~graph ~logs ~tau ~modulus config in
-        ( r.Driver.scores, r.Driver.wire, None, Array.length logs + 1,
-          transcript_payload_bytes r.Driver.transcript, None )
-      | (`Sim | `Memory | `Socket) as transport when shards = 1 ->
-        let session =
-          Spe_core.Driver_distributed.user_scores_exclusive s ~graph ~logs ~tau ~modulus
-            config
-        in
-        let r, w, net = run_pipeline_session ~trace transport session in
-        let stats = Wire.stats w in
-        ( r.Spe_core.Driver_distributed.scores, stats, net,
-          Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-      | (`Sim | `Memory | `Socket) as transport -> (
-        let plan =
-          Spe_core.Shard.user_scores_exclusive s ~graph ~logs ~tau ~modulus ~shards config
-        in
-        match transport with
-        | `Sim ->
-          let session = Spe_core.Plan.to_session plan in
-          let r, w, net = run_pipeline_session ~trace `Sim session in
-          let stats = Wire.stats w in
-          ( r.Spe_core.Driver_distributed.scores, stats, net,
-            Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-        | (`Memory | `Socket) as transport ->
-          let r, stats, _transcript, net, sections =
-            run_pipeline_plan ~trace ~workers transport plan
-          in
-          ( r.Spe_core.Driver_distributed.scores, stats, net, Array.length logs + 1,
-            stats.Wire.bits / 8, Some sections ))
+    let run =
+      run_pipeline ~trace ~workers ~parties:(Array.length logs + 1) transport
+        ~central:(fun () ->
+          let r = Driver.user_scores_exclusive ~trace s ~graph ~logs ~tau ~modulus config in
+          (r.Driver.scores, r.Driver.wire, r.Driver.transcript))
+        ~plan:(fun () ->
+          Spe_core.Plan.map
+            (fun r -> r.Spe_core.Driver_distributed.scores)
+            (Spe_core.Shard.user_scores_exclusive s ~graph ~logs ~tau ~modulus ~shards config))
     in
-    print_scores ~top scores;
-    (match out with
-    | None -> ()
-    | Some path ->
-      Spe_influence.Result_io.save_scores scores path;
-      Printf.printf "wrote %s\n" path);
-    (match dp_epsilon with
-    | None -> ()
-    | Some epsilon ->
-      emit_dp_vector
-        ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-        ~public:(dp_node_public ~dp_public_degree (Some graph))
-        ~what:"user scores" scores);
-    wire_summary stats;
-    transport_bytes_summary stats net;
-    (match sections with
-    | None ->
-      emit_observability trace ~protocol:"scores" ~engine:(engine_name transport) ~parties
-        ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-    | Some sections ->
-      emit_sharded_observability ~protocol:"scores" ~engine:(engine_name transport)
-        ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
+    release (Some graph) run.result;
+    wire_summary run.stats;
+    transport_bytes_summary run.stats run.net;
+    emit_observability ~protocol:"scores" ~engine:(engine_name transport) run trace_file
+      metrics;
     `Ok ()
   in
   let term =
@@ -1141,6 +1065,24 @@ let rank_cmd =
         fbits;
       }
     in
+    (* [plaintext] (the oracle's vector) is forced only for a DP
+       release, which compares against it. *)
+    let release ?plaintext public_graph ranks =
+      print_ranks ~top ranks;
+      (match out with
+      | None -> ()
+      | Some path ->
+        Spe_influence.Result_io.save_scores ranks path;
+        Printf.printf "wrote %s\n" path);
+      match dp_epsilon with
+      | None -> ()
+      | Some epsilon ->
+        emit_dp_vector
+          ~params:(dp_params ~seed ~dp_sensitivity epsilon)
+          ~public:(dp_node_public ~dp_public_degree public_graph)
+          ?plaintext:(Option.map (fun f -> f ()) plaintext)
+          ~what:"rank vector" ranks
+    in
     match connect with
     | Some addr_spec ->
       if trace_file <> None || metrics <> None then
@@ -1167,29 +1109,10 @@ let rank_cmd =
           ~print:(function
             | Serve_proto.Rank_summary { ranks_fx; fbits } ->
               let scale = float_of_int (1 lsl fbits) in
-              let ranks = Array.map (fun fx -> float_of_int fx /. scale) ranks_fx in
-              print_ranks ~top ranks;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_scores ranks path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_vector
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_node_public ~dp_public_degree public_graph)
-                  ~what:"rank vector" ranks)
+              release public_graph (Array.map (fun fx -> float_of_int fx /. scale) ranks_fx)
             | _ -> ())
     | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let* graph = load_graph graph_path in
-    let* logs = load_logs log_paths in
+    let* graph, logs = load_inputs graph_path log_paths in
     let n = Digraph.n graph in
     let aggregate_activity () =
       let a = Array.make n 0 in
@@ -1204,15 +1127,6 @@ let rank_cmd =
     let plaintext () =
       Rank_oracle.to_floats oracle (Rank_oracle.fixed oracle graph ~activity:(aggregate_activity ()))
     in
-    let emit_dp ?mpc_plaintext ranks =
-      match dp_epsilon with
-      | None -> ()
-      | Some epsilon ->
-        emit_dp_vector
-          ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-          ~public:(dp_node_public ~dp_public_degree (Some graph))
-          ?plaintext:mpc_plaintext ~what:"rank vector" ranks
-    in
     let config = { Protocol_rank.oracle; modulus = 1 lsl modulus_bits } in
     let s = State.create ~seed () in
     let trace = obs_trace trace_file metrics in
@@ -1223,50 +1137,19 @@ let rank_cmd =
       match plaintext () with
       | exception Invalid_argument msg -> `Error (false, msg)
       | ranks ->
-        print_ranks ~top ranks;
-        (match out with
-        | None -> ()
-        | Some path ->
-          Spe_influence.Result_io.save_scores ranks path;
-          Printf.printf "wrote %s\n" path);
-        emit_dp ranks;
+        release (Some graph) ranks;
         Printf.printf "engine central: plaintext fixed-point oracle, no protocol run\n";
         `Ok ())
-    | (`Sim | `Memory | `Socket) as transport -> (
+    | (`Sim | `Memory | `Socket) as engine -> (
       match Protocol_rank.plan s ~graph ~logs ~shards config with
       | exception Invalid_argument msg -> `Error (false, msg)
       | plan ->
-        let result, stats, net, parties, payload_bytes, sections =
-          match transport with
-          | `Sim ->
-            let session = Spe_core.Plan.to_session plan in
-            let r, w, net = run_pipeline_session ~trace `Sim session in
-            let stats = Wire.stats w in
-            ( r, stats, net, Array.length session.Spe_mpc.Session.parties,
-              stats.Wire.bits / 8, None )
-          | (`Memory | `Socket) as transport ->
-            let r, stats, _transcript, net, sections =
-              run_pipeline_plan ~trace ~workers transport plan
-            in
-            ( r, stats, net, Array.length logs + 1, stats.Wire.bits / 8, Some sections )
-        in
-        let ranks = result.Protocol_rank.ranks in
-        print_ranks ~top ranks;
-        (match out with
-        | None -> ()
-        | Some path ->
-          Spe_influence.Result_io.save_scores ranks path;
-          Printf.printf "wrote %s\n" path);
-        emit_dp ~mpc_plaintext:(plaintext ()) ranks;
-        wire_summary stats;
-        transport_bytes_summary stats net;
-        (match sections with
-        | None ->
-          emit_observability trace ~protocol:"rank" ~engine:(engine_name transport)
-            ~parties ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-        | Some sections ->
-          emit_sharded_observability ~protocol:"rank" ~engine:(engine_name transport)
-            ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
+        let run = run_plan ~trace ~workers engine plan in
+        release ~plaintext (Some graph) run.result.Protocol_rank.ranks;
+        wire_summary run.stats;
+        transport_bytes_summary run.stats run.net;
+        emit_observability ~protocol:"rank" ~engine:(engine_name engine) run trace_file
+          metrics;
         `Ok ())
   in
   let term =
@@ -1301,9 +1184,6 @@ let stream_cmd =
   let module Stream = Spe_influence.Stream in
   let module Counters = Spe_influence.Counters in
   let module Delta = Spe_core.Delta in
-  let module Plan = Spe_core.Plan in
-  let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
   let epoch_arg =
     Arg.(
       value & opt int 25
@@ -1422,12 +1302,7 @@ let stream_cmd =
                 strengths
             | _ -> ())
     | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-      let* graph = load_graph graph_path in
-      let* logs = load_logs log_paths in
+      let* graph, logs = load_inputs graph_path log_paths in
       if Array.length logs < 2 then `Error (true, "need at least two --log providers")
       else begin
         let m = Array.length logs in
@@ -1500,25 +1375,8 @@ let stream_cmd =
           Array.iter Stream.clear_dirty streams;
           (!arrivals, { Delta.epoch; dirty_users; dirty_pairs; inputs })
         in
-        let endpoint_config =
-          { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-        in
-        let run_plan engine (plan : _ Plan.t) =
-          match engine with
-          | `Sim -> Session.run (Plan.to_session plan) ~wire:(Wire.create ())
-          | (`Memory | `Socket) as e ->
-            List.iter
-              (fun (stage : Plan.stage) ->
-                ignore
-                  (match e with
-                  | `Memory ->
-                    Endpoint.run_sessions_memory ~config:endpoint_config ~workers:2
-                      stage.Plan.sessions
-                  | `Socket ->
-                    Endpoint.run_sessions_socket ~config:endpoint_config ~workers:2
-                      stage.Plan.sessions))
-              plan.Plan.stages;
-            plan.Plan.result ()
+        let run_plan engine plan =
+          (run_plan ~trace:(Spe_obs.Trace.disabled ()) ~workers:2 engine plan).result
         in
         let d, srcs, accs = instance () in
         let full_i = if verify_full then Some (instance ()) else None in
@@ -1907,7 +1765,8 @@ let shares_cmd =
       in
       let max_rounds = match protocol with `P1 -> P1d.max_rounds | `P2 -> P2d.max_rounds in
       let trace = obs_trace trace_file metrics in
-      let stats, transport_bytes =
+      let parties_n = Array.length parties' in
+      let run =
         match transport with
         | `Sim ->
           let engine = Runtime.create () in
@@ -1917,7 +1776,8 @@ let shares_cmd =
             Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
                 Runtime.run ~trace engine ~wire:w ~max_rounds)
           in
-          (Wire.stats w, None)
+          { result = (); stats = Wire.stats w; transcript = Wire.messages w; net = None;
+            sections = [ ("session", trace, parties_n) ] }
         | `Memory | `Socket ->
           let res =
             Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
@@ -1929,7 +1789,10 @@ let shares_cmd =
           let logs =
             Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
           in
-          (Wire.stats (Net_wire.merge logs), Some (res.Endpoint.transport_bytes, Net_wire.totals logs))
+          let w = Net_wire.merge logs in
+          { result = (); stats = Wire.stats w; transcript = Wire.messages w;
+            net = Some (res.Endpoint.transport_bytes, Net_wire.totals logs);
+            sections = [ ("session", trace, parties_n) ] }
       in
       let share1, share2 = extract () in
       let preview = min len 8 in
@@ -1956,19 +1819,17 @@ let shares_cmd =
         if not reconstructed then ok := false
       done;
       Printf.printf "reconstruction check: %s\n" (if !ok then "OK" else "FAILED");
-      wire_summary stats;
-      (match transport_bytes with
+      wire_summary run.stats;
+      (match run.net with
       | None -> ()
       | Some (total, totals) ->
         Printf.printf
           "transport: %d framed bytes on the wire (%d payload, overhead factor %.3f)\n"
           total totals.Net_wire.payload_bytes
           (float_of_int total /. float_of_int (max 1 totals.Net_wire.payload_bytes)));
-      emit_observability trace
+      emit_observability
         ~protocol:(match protocol with `P1 -> "shares-p1" | `P2 -> "shares-p2")
-        ~engine:(engine_name transport) ~parties:(Array.length parties')
-        ~messages:stats.Wire.messages ~payload_bytes:(stats.Wire.bits / 8)
-        ~net:transport_bytes trace_file metrics;
+        ~engine:(engine_name transport) run trace_file metrics;
       if !ok then `Ok () else `Error (false, "share reconstruction failed")
     end
   in

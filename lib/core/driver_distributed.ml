@@ -1,76 +1,16 @@
-module State = Spe_rng.State
-module Dist = Spe_rng.Dist
 module Wire = Spe_mpc.Wire
 module Runtime = Spe_mpc.Runtime
 module Session = Spe_mpc.Session
-module Protocol2_distributed = Spe_mpc.Protocol2_distributed
-module Digraph = Spe_graph.Digraph
-module Log = Spe_actionlog.Log
-module Partition = Spe_actionlog.Partition
 module Propagation = Spe_influence.Propagation
-
-let links_exclusive st ~graph ~logs config =
-  Protocol4_distributed.make_with_logs st ~graph ~logs config
-
-let links_non_exclusive st ~graph ~logs ~spec ~obfuscation config =
-  let m = Array.length logs in
-  if m < 2 then
-    invalid_arg "Driver_distributed.links_non_exclusive: need at least two providers";
-  if spec.Partition.m <> m then
-    invalid_arg "Driver_distributed.links_non_exclusive: spec provider count mismatch";
-  let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
-  Array.iter
-    (fun l -> Partition.validate_class_spec spec ~num_actions:(Log.num_actions l))
-    logs;
-  (* Protocol 5 per class, sequenced in class order exactly as the
-     central driver runs them; the representative of each class
-     accumulates an accessor to the class counters, which its Protocol
-     4 program reads once the class phases have executed. *)
-  let held = Array.make m [] in
-  let class_sessions =
-    Array.to_list spec.Partition.class_providers
-    |> List.mapi (fun class_id members ->
-           let class_logs =
-             Array.map
-               (fun k ->
-                 Log.filter_actions logs.(k) (fun a ->
-                     spec.Partition.action_class.(a) = class_id))
-               members
-           in
-           let providers = Array.map (fun k -> Wire.Provider k) members in
-           let trusted = Driver.pick_trusted ~m ~class_members:members in
-           let s =
-             Protocol5_distributed.make st ~h:config.Protocol4.h ~providers ~trusted
-               ~logs:class_logs ~obfuscation
-           in
-           held.(members.(0)) <- s.Session.result :: held.(members.(0));
-           Session.map ignore s)
-  in
-  let n = Digraph.n graph in
-  let core =
-    Protocol4_distributed.make st ~graph ~num_actions ~m
-      ~provider_input_of:(fun ~k ~pairs ->
-        match held.(k) with
-        | [] ->
-          { Protocol4.a = Array.make n 0;
-            c = Array.make_matrix (Array.length pairs) config.Protocol4.h 0 }
-        | accessors -> Protocol5.to_provider_input (List.map (fun f -> f ()) accessors) ~pairs)
-      config
-  in
-  match class_sessions with
-  | [] -> core
-  | s0 :: rest ->
-    let seq_unit a b = Session.map (fun ((), ()) -> ()) (Session.seq a b) in
-    Session.map snd (Session.seq (List.fold_left seq_unit s0 rest) core)
 
 type scores = { scores : float array; graphs : Propagation.t array }
 
-(* The final unmasking phase, shared by the monolithic and sharded
-   score pipelines: mask agreement (rounds 1-2), masked denominators to
-   the host (round 3), then the blinded round-trip host -> player 1 ->
-   host (rounds 4-5), the host dividing at its finishing call.
-   [numerators_of] is forced inside the host program at round 4, after
-   every earlier phase has executed. *)
+(* The final unmasking phase of the score pipeline ([Shard]): mask
+   agreement (rounds 1-2), masked denominators to the host (round 3),
+   then the blinded round-trip host -> player 1 -> host (rounds 4-5),
+   the host dividing at its finishing call.  [numerators_of] is forced
+   inside the host program at round 4, after every earlier phase has
+   executed. *)
 let scores_final_phase ~n ~p0 ~p1 ~masks ~blinds ~share1 ~share2 ~numerators_of =
   let scores_ref = ref [||] in
   let player me other share_of is_player1 ~round ~inbox =
@@ -135,41 +75,3 @@ let scores_final_phase ~n ~p0 ~p1 ~masks ~blinds ~share1 ~share2 ~numerators_of 
        ~programs:[| player p0 p1 share1 true; player p1 p0 share2 false; host_program |]
        ~rounds:5
        ~result:(fun () -> !scores_ref))
-
-let user_scores_exclusive st ~graph ~logs ~tau ~modulus config =
-  let m = Array.length logs in
-  if m < 2 then
-    invalid_arg "Driver_distributed.user_scores_exclusive: need at least two providers";
-  if tau < 0 then invalid_arg "Driver_distributed.user_scores_exclusive: negative tau";
-  let n = Digraph.n graph in
-  let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
-  if modulus <= num_actions then
-    invalid_arg "Driver_distributed.user_scores_exclusive: modulus must exceed A";
-  (* Phase 1: Protocol 6 delivers the propagation graphs to the host. *)
-  let p6 = Protocol6_distributed.make st ~graph ~logs config in
-  (* Phase 2: the batched Protocol 2 over the activity counters. *)
-  let parties = Array.init m (fun k -> Wire.Provider k) in
-  let third_party = if m > 2 then Wire.Provider 2 else Wire.Host in
-  let share_session, handle =
-    Protocol2_distributed.make_lazy st ~parties ~third_party ~modulus
-      ~input_bound:num_actions ~length:n
-      ~inputs:(Array.init m (fun k () -> Log.user_activity logs.(k)))
-  in
-  (* The joint per-user masks, then the host's blinds — the central
-     draw order. *)
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
-  let blinds = Array.init n (fun _ -> Dist.mask_pair st) in
-  let p0 = parties.(0) and p1 = parties.(1) in
-  (* Phase 3: the shared final unmasking phase, the host reading the
-     Protocol 6 numerators once the earlier phases have delivered. *)
-  let final_phase =
-    scores_final_phase ~n ~p0 ~p1 ~masks ~blinds
-      ~share1:handle.Protocol2_distributed.share1
-      ~share2:handle.Protocol2_distributed.share2
-      ~numerators_of:(fun () ->
-        Propagation.sphere_totals (p6.Session.result ()).Protocol6.graphs ~n ~tau)
-  in
-  Session.map
-    (fun ((p6_result, _), user_scores) ->
-      { scores = user_scores; graphs = p6_result.Protocol6.graphs })
-    (Session.seq (Session.seq p6 share_session) final_phase)

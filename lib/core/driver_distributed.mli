@@ -1,38 +1,8 @@
-(** The end-to-end pipelines as single composed {!Spe_mpc.Session}s,
-    runnable on any engine: the in-process {!Spe_mpc.Session.run}, or
-    the [Spe_net] memory-channel and socket endpoints
-    ([Spe_net.Endpoint.run_session_memory] / [run_session_socket]).
-
-    Each builder mirrors the corresponding central driver phase for
-    phase and draw for draw, so from an equal-positioned generator the
-    session results are {e bit-identical} to [Driver]'s, and the
-    charged round/message counts equal the central [NR]/[NM]
-    statistics.  Message sizes differ only by the typed payload
-    encodings (DESIGN.md, "central vs distributed wire sizes"); the
-    cross-engine tests pin both facts. *)
-
-val links_exclusive :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol4.config ->
-  Protocol4.result Spe_mpc.Session.t
-(** The Sec. 5.1 pipeline over exclusive provider logs
-    ({!Protocol4_distributed.make_with_logs}). *)
-
-val links_non_exclusive :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  spec:Spe_actionlog.Partition.class_spec ->
-  obfuscation:Protocol5.obfuscation ->
-  Protocol4.config ->
-  Protocol4.result Spe_mpc.Session.t
-(** The Sec. 5.2 pipeline: one {!Protocol5_distributed} session per
-    action class (same trusted-party seating as the central driver),
-    sequenced in class order, then the Protocol 4 core with each
-    representative's program reading the class counters delivered by
-    the earlier phases. *)
+(** The pieces of the Sec. 6 score pipeline that [Shard] composes into
+    its plan: the result record and the final unmasking phase.  The
+    pipelines themselves are built once, as {!Plan}s, in [Shard]; at
+    [shards = 1] their lowering ({!Plan.to_session}) is the unsharded
+    distributed pipeline. *)
 
 type scores = {
   scores : float array;  (** [score(v_i)] per user (Def. 3.3). *)
@@ -56,21 +26,5 @@ val scores_final_phase :
     blinds at the finishing call.  [share1]/[share2] read the players'
     Protocol 2 activity shares and [numerators_of] the Protocol 6
     sphere totals; all three are forced only once the phase is
-    executing, so any earlier composition — monolithic or sharded
-    ([Shard]) — can deliver them.  The session result is the score
-    vector. *)
-
-val user_scores_exclusive :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  tau:int ->
-  modulus:int ->
-  Protocol6.config ->
-  scores Spe_mpc.Session.t
-(** The Sec. 6 pipeline: {!Protocol6_distributed} for the propagation
-    graphs, the batched Protocol 2 over the activity counters, the
-    Protocol 4-style masking toward the host, and the blinded
-    unmasking round-trip (host -> player 1 -> host, see [Driver]'s
-    interface documentation) — the host dividing out its blinds at the
-    finishing call. *)
+    executing, so whichever earlier plan stages deliver them may run
+    first.  The session result is the score vector. *)

@@ -62,20 +62,7 @@ val flatten_input : estimator -> provider_input -> int array
 (** The counters one provider feeds the batched Protocol 2, flattened
     as [a_0..a_(n-1)] followed by the per-pair numerator counters — the
     window counters [b^h] under Eq. 1, the [h] lag counters per pair
-    under Eq. 2.  Shared with [Protocol4_distributed]. *)
-
-val masked_shares_of_flat :
-  estimator ->
-  h:int ->
-  n:int ->
-  pairs:(int * int) array ->
-  masks:float array ->
-  int array ->
-  float array * float array
-(** [(masked_a, masked_num)] of one player's flat share vector: the
-    Steps 7-8 local weighted combination and per-user mask multiplies.
-    Shared with [Protocol4_distributed] so both paths produce
-    bit-identical floats. *)
+    under Eq. 2.  Shared with [Shard] and [Delta]. *)
 
 val pair_estimates_of_masked :
   pairs:(int * int) array ->

@@ -1,4 +1,4 @@
-(** Protocol 6 as a composed {!Spe_mpc.Session}: the Sec. 6.1
+(** Protocol 6 as composed {!Spe_mpc.Session}s: the Sec. 6.1
     propagation-graph pipeline with every party an isolated state
     machine, runnable on any engine.
 
@@ -14,18 +14,15 @@
       the key broadcast carries a placeholder natural of the key's
       exact wire width; the providers encrypt through the shared
       [public] closure.
-    - The Delta bundles are prepared at [make] time, in provider order,
+    - The Delta bundles are prepared at [prepare] time, in provider order,
       against the published pair set (the same array each provider
       receives in phase 1) — this keeps the probabilistic Paillier
       encryption stream on a single draw order, making plaintexts and
       wire sizes engine-independent.
 
     All randomness is consumed in the central draw order, so the
-    session result is bit-identical to {!Protocol6.run}, and the
-    charged round/message counts match the central statistics
-    exactly. *)
-
-type session = Protocol6.result Spe_mpc.Session.t
+    result is bit-identical to {!Protocol6.run}, and the charged
+    round/message counts match the central statistics exactly. *)
 
 type prepared = {
   setup_session : unit Spe_mpc.Session.t;
@@ -58,24 +55,7 @@ val prepare :
   logs:Spe_actionlog.Log.t array ->
   Protocol6.config ->
   prepared
-(** Same contract as {!make}; {!make} itself is
-    [setup_session] sequenced with the full-range bundle session. *)
-
-val make :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol6.config ->
-  session
 (** Same contract as {!Protocol6.run}: [m >= 2] exclusive provider
     logs over the graph's user universe.  Raises [Invalid_argument]
-    otherwise. *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Spe_mpc.Wire.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol6.config ->
-  Protocol6.result
-(** {!make} driven by {!Spe_mpc.Session.run}. *)
+    otherwise.  [setup_session] followed by the full-range
+    [bundle_session] is the whole protocol. *)

@@ -40,8 +40,7 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
      unsharded order: the pair obfuscation, the batched Protocol 2
      secrets, the per-user masks.  Shards are then cut as contiguous
      chunks of the already-drawn (and already-permuted) published
-     order — no extra draws, so the k = 1 plan is the monolithic
-     session wire-for-wire, and any k merges to the same bits. *)
+     order — no extra draws, so any k merges to the same bits. *)
   let ob = Obfuscate.make st graph ~c:config.Protocol4.c_factor in
   let q = Obfuscate.size ob in
   let pairs = Array.make q (0, 0) in
@@ -278,8 +277,10 @@ let links_non_exclusive st ~graph ~logs ~spec ~obfuscation ~shards config =
     (fun l -> Partition.validate_class_spec spec ~num_actions:(Log.num_actions l))
     logs;
   (* The Protocol 5 class sessions, built in class order exactly as the
-     unsharded driver does (same draws); they have no mutual dataflow,
-     so the plan runs them as one concurrent stage. *)
+     central driver does (same draws); they have no mutual dataflow,
+     so the plan runs them as one concurrent stage.  Each class
+     representative accumulates an accessor to its class counters,
+     which its Protocol 4 input reads once that stage has run. *)
   let held = Array.make m [] in
   let class_sessions =
     Array.to_list spec.Partition.class_providers

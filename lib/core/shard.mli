@@ -1,6 +1,21 @@
-(** Sharded pipeline construction: cut the Protocol 4/5/6 pipelines
-    into [k] per-shard sessions organised as a {!Plan}, merging to {e
-    exactly} the unsharded [Driver_distributed] output.
+(** The distributed pipelines, built once: the Sec. 5.1, Sec. 5.2 and
+    Sec. 6 pipelines cut into [k] per-shard sessions organised as a
+    {!Plan}.  Every in-process engine and every daemon runs these
+    plans; [shards = 1] is the unsharded pipeline.
+
+    {2 What [shards = 1] preserves}
+
+    For any [k] the merged result is bit-identical to the central
+    [Driver]'s from an equal-positioned generator, and payload bytes
+    ([MS]) do not depend on [k].  At [k = 1] the charged round and
+    message counts also equal the central [NR]/[NM].  Two things are
+    the plan's own and differ from a single hand-sequenced session:
+    the phase map carries a separate [p2-verdict] phase (the Protocol 2
+    wrap announcement is its own stage, so the [p2-shares] rows lose
+    that round), and the non-exclusive Protocol 5 class sessions run as
+    one concurrent [p5-classes] stage rather than one after another.
+    On the transport engines each stage is its own connection group,
+    so framed bytes follow the stage cut too.
 
     {2 Permute-then-shard}
 
@@ -36,10 +51,12 @@ val links_exclusive :
   shards:int ->
   Protocol4.config ->
   Protocol4.result Plan.t
-(** The Sec. 5.1 pipeline cut into [min shards (n + q)] shards.  Same
-    contract as {!Driver_distributed.links_exclusive}; the plan result
-    is bit-identical to it on any engine, for any [shards >= 1] (and
-    [shards = 1] is the monolithic session wire-for-wire). *)
+(** The Sec. 5.1 pipeline over exclusive provider logs, cut into
+    [min shards (n + q)] shards.  The plan's strengths equal
+    [Driver.link_strengths_exclusive]'s on any engine, for any
+    [shards >= 1].  Raises [Invalid_argument] on the parameter
+    violations of {!Protocol4.run}, fewer than two providers, a log
+    over another user universe, or [shards < 1]. *)
 
 val links_non_exclusive :
   Spe_rng.State.t ->
@@ -51,9 +68,11 @@ val links_non_exclusive :
   Protocol4.config ->
   Protocol4.result Plan.t
 (** The Sec. 5.2 pipeline: the Protocol 5 class sessions (built in
-    class order, same draws as the unsharded driver) run as one
-    concurrent pre-stage, then the sharded Protocol 4 core.  Same
-    contract as {!Driver_distributed.links_non_exclusive}. *)
+    class order, the central driver's draws and trusted-party seating)
+    run as one concurrent pre-stage, then the sharded Protocol 4 core,
+    each class representative reading its class counters.  The plan's
+    strengths equal [Driver.link_strengths_non_exclusive]'s.  Raises
+    [Invalid_argument] if [spec] disagrees with the logs. *)
 
 val user_scores_exclusive :
   Spe_rng.State.t ->
@@ -64,6 +83,10 @@ val user_scores_exclusive :
   shards:int ->
   Protocol6.config ->
   Driver_distributed.scores Plan.t
-(** The Sec. 6 pipeline with the bundle relay cut into
-    [min shards num_actions] action-range shards.  Same contract as
-    {!Driver_distributed.user_scores_exclusive}. *)
+(** The Sec. 6 pipeline: {!Protocol6_distributed} for the propagation
+    graphs, with its bundle relay cut into [min shards num_actions]
+    action-range shards, then the batched Protocol 2 over the activity
+    counters and {!Driver_distributed.scores_final_phase}.  The plan
+    result equals [Driver.user_scores_exclusive]'s scores and graphs.
+    Raises [Invalid_argument] on fewer than two providers, a negative
+    [tau], [modulus <= A] or [shards < 1]. *)

@@ -779,9 +779,7 @@ let qcheck_tests =
         let w_mono = Wire.create () and w_shard = Wire.create () in
         let mono =
           Session.run
-            (Driver_distributed.links_exclusive
-               (State.create ~seed:(seed + 1) ())
-               ~graph:g ~logs config)
+            (Util.links_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config)
             ~wire:w_mono
         in
         let plan =
@@ -802,9 +800,8 @@ let qcheck_tests =
         let w_mono = Wire.create () and w_shard = Wire.create () in
         let mono =
           Session.run
-            (Driver_distributed.user_scores_exclusive
-               (State.create ~seed:(seed + 1) ())
-               ~graph:g ~logs ~tau:4 ~modulus:(1 lsl 20) config)
+            (Util.scores_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau:4
+               ~modulus:(1 lsl 20) config)
             ~wire:w_mono
         in
         let plan =

@@ -663,8 +663,7 @@ let check_links_cross_engine (seed, n, edges, actions, m) =
     Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
   in
   let session () =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
+    Util.links_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
   in
   let w = Wire.create () in
   let sim = Session.run (session ()) ~wire:w in
@@ -701,8 +700,8 @@ let check_scores_cross_engine (seed, n, edges, actions, m) =
       ~modulus config
   in
   let session () =
-    Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~tau ~modulus config
+    Util.scores_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau ~modulus
+      config
   in
   let w = Wire.create () in
   let sim = Session.run (session ()) ~wire:w in
@@ -914,8 +913,7 @@ let test_sharded_links_pool_cross_engine () =
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = Protocol4.default_config ~h:2 in
   let session =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
+    Util.links_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
   in
   let w = Wire.create () in
   let sim = Session.run session ~wire:w in
@@ -938,8 +936,9 @@ let test_sharded_links_pool_cross_engine () =
         [ 1; 3 ])
     session_engines
 
-let test_sharded_links_non_exclusive_pool_cross_engine () =
-  let seed = 223 and n = 20 and edges = 60 and actions = 9 and m = 3 in
+(* A non-exclusive workload: the Sec. 5.2 spec of [classes] action
+   classes, each supported by a random provider subset. *)
+let non_exclusive_workload ~seed ~n ~edges ~actions ~m ~classes =
   let s = State.create ~seed () in
   let g = Generate.erdos_renyi_gnm s ~n ~m:edges in
   let planted = Cascade.uniform_probabilities ~p:0.3 g in
@@ -947,13 +946,20 @@ let test_sharded_links_non_exclusive_pool_cross_engine () =
     Cascade.generate s planted
       { Cascade.num_actions = actions; seeds_per_action = 2; max_delay = 3 }
   in
-  let spec = Partition.random_class_spec s ~num_actions:actions ~m ~num_classes:3 in
-  let logs = Partition.non_exclusive s log ~spec in
+  let spec = Partition.random_class_spec s ~num_actions:actions ~m ~num_classes:classes in
+  (g, Partition.non_exclusive s log ~spec, spec)
+
+let test_sharded_links_non_exclusive_pool_cross_engine () =
+  let seed = 223 in
+  let g, logs, spec =
+    non_exclusive_workload ~seed ~n:20 ~edges:60 ~actions:9 ~m:3 ~classes:3
+  in
   let config = Protocol4.default_config ~h:2 in
   let obfuscation = Protocol5.Basic in
   let session =
-    Driver_distributed.links_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~spec ~obfuscation config
+    Plan.to_session
+      (Shard.links_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~spec
+         ~obfuscation ~shards:1 config)
   in
   let w = Wire.create () in
   let sim = Session.run session ~wire:w in
@@ -973,14 +979,58 @@ let test_sharded_links_non_exclusive_pool_cross_engine () =
       check_plan_accounting label plan groups ~payload_ref)
     session_engines
 
+(* The Sec. 5.2 pipeline against the central oracle
+   ([Driver.link_strengths_non_exclusive]): the same strengths at k = 1
+   (Session.run of the lowered plan) and at k = 3 (the memory pool),
+   and at k = 1 the central NR and NM, with MS inside the typed-encoding
+   envelope. *)
+let test_non_exclusive_links_vs_central () =
+  List.iter
+    (fun (seed, m, classes, obfuscation) ->
+      let label =
+        Printf.sprintf "non-exclusive links m=%d classes=%d seed=%d %s" m classes seed
+          (match obfuscation with Protocol5.Basic -> "basic" | Protocol5.Enhanced -> "enhanced")
+      in
+      let g, logs, spec =
+        non_exclusive_workload ~seed ~n:20 ~edges:60 ~actions:9 ~m ~classes
+      in
+      let config = Protocol4.default_config ~h:2 in
+      let central =
+        Driver.link_strengths_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
+          ~logs ~spec ~obfuscation config
+      in
+      let plan shards =
+        Shard.links_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~spec
+          ~obfuscation ~shards config
+      in
+      let w = Wire.create () in
+      let k1 = Session.run (Plan.to_session (plan 1)) ~wire:w in
+      let stats = Wire.stats w in
+      Alcotest.(check bool) (label ^ ": k=1 strengths equal the central oracle") true
+        (k1.Protocol4.strengths = central.Driver.strengths);
+      Alcotest.(check int) (label ^ ": k=1 NR matches the central oracle")
+        central.Driver.wire.Wire.rounds stats.Wire.rounds;
+      Alcotest.(check int) (label ^ ": k=1 NM matches the central oracle")
+        central.Driver.wire.Wire.messages stats.Wire.messages;
+      check_ms_envelope label ~central:central.Driver.wire ~distributed_bits:stats.Wire.bits;
+      let k3 = Util.run_plan `Memory (plan 3) in
+      Alcotest.(check bool) (label ^ ": k=3 strengths equal the central oracle") true
+        (k3.Protocol4.strengths = central.Driver.strengths))
+    [
+      (223, 3, 3, Protocol5.Basic);
+      (231, 3, 2, Protocol5.Enhanced);
+      (233, 2, 1, Protocol5.Basic);
+      (237, 4, 4, Protocol5.Enhanced);
+    ]
+
 let test_sharded_scores_pool_cross_engine () =
   let seed = 227 and n = 16 and edges = 44 and actions = 8 and m = 2 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
   let tau = 6 and modulus = 1 lsl 20 in
   let session =
-    Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~tau ~modulus config
+    Util.scores_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau ~modulus
+      config
   in
   let w = Wire.create () in
   let sim = Session.run session ~wire:w in
@@ -1011,16 +1061,15 @@ let test_memory_socket_session_k_sweep () =
   let links_config = Protocol4.default_config ~h:2 in
   let links_sim =
     Session.run
-      (Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-         ~logs links_config)
+      (Util.links_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs links_config)
       ~wire:(Wire.create ())
   in
   let scores_config = { Protocol6.default_config with Protocol6.key_bits = 64 } in
   let tau = 4 and modulus = 1 lsl 20 in
   let scores_sim =
     Session.run
-      (Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 2) ())
-         ~graph:g ~logs ~tau ~modulus scores_config)
+      (Util.scores_session (State.create ~seed:(seed + 2) ()) ~graph:g ~logs ~tau ~modulus
+         scores_config)
       ~wire:(Wire.create ())
   in
   List.iter
@@ -1096,8 +1145,7 @@ let test_links_seeded_faults_memory () =
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = Protocol4.default_config ~h:2 in
   let session () =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
+    Util.links_session (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
   in
   let w = Wire.create () in
   let sim = Session.run (session ()) ~wire:w in
@@ -1175,6 +1223,8 @@ let () =
         [
           Alcotest.test_case "links across engines" `Quick test_links_cross_engine;
           Alcotest.test_case "scores across engines" `Quick test_scores_cross_engine;
+          Alcotest.test_case "non-exclusive links vs central at k in {1,3}" `Quick
+            test_non_exclusive_links_vs_central;
         ] );
       ( "accounting",
         [

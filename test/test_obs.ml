@@ -17,7 +17,6 @@ module Partition = Spe_actionlog.Partition
 module Protocol4 = Spe_core.Protocol4
 module Protocol6 = Spe_core.Protocol6
 module Driver = Spe_core.Driver
-module Driver_distributed = Spe_core.Driver_distributed
 module Endpoint = Spe_net.Endpoint
 module Fault = Spe_net.Fault
 module Net_wire = Spe_net.Net_wire
@@ -410,14 +409,14 @@ let test_links_accounting () =
   let g, logs = pipeline_workload ~seed:171 ~n:24 ~edges:70 ~actions:10 ~m:3 in
   let config = Protocol4.default_config ~h:2 in
   check_pipeline_accounting "links" (fun () ->
-      Driver_distributed.links_exclusive (State.create ~seed:172 ()) ~graph:g ~logs config)
+      Util.links_session (State.create ~seed:172 ()) ~graph:g ~logs config)
 
 let test_scores_accounting () =
   let g, logs = pipeline_workload ~seed:173 ~n:20 ~edges:60 ~actions:8 ~m:3 in
   let config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
   check_pipeline_accounting "scores" (fun () ->
-      Driver_distributed.user_scores_exclusive (State.create ~seed:174 ()) ~graph:g ~logs
-        ~tau:6 ~modulus:(1 lsl 20) config)
+      Util.scores_session (State.create ~seed:174 ()) ~graph:g ~logs ~tau:6
+        ~modulus:(1 lsl 20) config)
 
 (* The central drivers replay their transcript into the trace; the
    totals must match the transcript's own (byte-rounded) accounting. *)

@@ -33,6 +33,15 @@ let workload ~seed ~n ~edges ~actions ~m =
   in
   (g, Partition.exclusive s log ~m)
 
+(* The unsharded distributed pipelines: the Shard plan at k = 1,
+   lowered to one session, so any single-session engine can run it. *)
+let links_session st ~graph ~logs config =
+  Plan.to_session (Spe_core.Shard.links_exclusive st ~graph ~logs ~shards:1 config)
+
+let scores_session st ~graph ~logs ~tau ~modulus config =
+  Plan.to_session
+    (Spe_core.Shard.user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards:1 config)
+
 (* Drive a plan on one of the three engines: lowered to a single
    session for sim, stage-by-stage through a transport worker pool
    otherwise. *)
